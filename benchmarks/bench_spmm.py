@@ -260,7 +260,10 @@ class Pr2Assembler(BatchAssembler):
         norm_adj = sp.csr_matrix(
             (data, indices, indptr), shape=(total, total), copy=False
         )
-        features = np.concatenate([self._features[i] for i in index_order])
+        starts = self._node_starts
+        features = np.concatenate(
+            [self._flat_features[starts[i] : starts[i + 1]] for i in index_order]
+        )
         from repro.gnn import GraphBatch
 
         return GraphBatch(

@@ -61,26 +61,26 @@ def update_record(section: str, payload: dict) -> str:
     """Append *payload* under *section* in the shared perf record.
 
     The payload becomes the section's ``latest`` and is appended to its
-    ``trajectory`` (stamped with the run time).  Returns the record path.
-    Timestamps and host fingerprints are attached at the top level so
-    downstream tooling can normalize runs.
+    ``trajectory`` (stamped with the run time and the host).  Returns the
+    record path.  The newest timestamp and host fingerprint are also
+    attached at the top level so downstream tooling can normalize runs.
     """
     path = record_path()
     record = _load(path)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     record["schema"] = RECORD_SCHEMA
     record["generated_at"] = stamp
+    host = {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "ci": bool(os.environ.get("CI")),
+    }
     record.setdefault("host", {})
-    record["host"].update(
-        {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "ci": bool(os.environ.get("CI")),
-        }
-    )
+    record["host"].update(host)
     entry = dict(payload)
     entry["recorded_at"] = stamp
+    entry["host"] = host  # compare trajectory entries only on equal hosts
     body = _as_section(record.get(section))
     body["latest"] = entry
     body["trajectory"].append(entry)

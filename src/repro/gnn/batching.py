@@ -4,13 +4,14 @@ A minibatch of enclosing subgraphs is assembled into one block-diagonal
 sparse operator ``D^-1 (A + I)`` plus a stacked node-feature matrix, so the
 graph convolutions of the whole batch run as a single sparse-dense product.
 
-The expensive part of batching — normalizing adjacencies (scipy coo/csr
-constructions) and one-hot feature stacking — is paid **once per split**:
+Every operator comes from one builder, :func:`_block_diagonal_operator`,
+and that scipy work plus feature stacking is paid **once per split**:
 
 * :class:`BatchCache` prebuilds a fixed partition of a split (used for
   validation and scoring, whose composition never changes), and
-* :class:`BatchAssembler` precomputes every example's normalized operator
-  and feature block once, then assembles *any* shuffled index order into
+* :class:`BatchAssembler` builds the whole split in one vectorized pass
+  (one block-diagonal operator sliced per example, one in-place feature
+  arena), then assembles *any* shuffled index order into
   block-diagonal :class:`GraphBatch` es by pure array stitching — the
   per-epoch cost of a shuffling training loop drops to ``concatenate``
   calls, bit-identical to rebuilding from scratch.
@@ -69,26 +70,42 @@ class GraphExample:
             raise ValueError("edge endpoint out of range")
 
 
-def normalized_adjacency(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Build ``D^-1 (A + I)`` for one undirected graph (paper Eq. 4).
+def _block_diagonal_operator(
+    sizes: np.ndarray, edge_arrays: Sequence[np.ndarray]
+) -> sp.csr_matrix:
+    """``D^-1 (A + I)`` of the block-diagonal union of graphs (paper Eq. 4).
 
-    The operator is assembled in float64 (exact degree reciprocals match
-    the seed implementation bit for bit in float64 mode) and cast to the
-    runtime default dtype.
+    Graph ``i`` has ``sizes[i]`` nodes and undirected ``(E_i, 2)`` edges
+    ``edge_arrays[i]``.  One ``coo → csr`` build canonicalizes every row
+    (sorted columns, summed duplicates), so the result decomposes exactly
+    into the per-graph operators.  Assembled in float64 (degrees are exact
+    integers), then cast to the runtime default dtype.
     """
-    if edges.size:
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(len(rows))
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-        adj = adj.tocsr()
+    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    total = int(offsets[-1])
+    shifted = [  # offsets added in int64, whatever the edge dtype
+        edges.astype(np.int64, copy=False) + off
+        for edges, off in zip(edge_arrays, offsets) if edges.size
+    ]
+    if shifted:
+        stacked = np.concatenate(shifted)
+        rows = np.concatenate([stacked[:, 0], stacked[:, 1]])
+        cols = np.concatenate([stacked[:, 1], stacked[:, 0]])
+        adj = sp.coo_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(total, total)
+        ).tocsr()
         adj.data[:] = 1.0  # collapse duplicate edges
     else:
-        adj = sp.csr_matrix((n_nodes, n_nodes))
-    adj = adj + sp.identity(n_nodes, format="csr")
+        adj = sp.csr_matrix((total, total))
+    adj = adj + sp.identity(total, format="csr")
     degree = np.asarray(adj.sum(axis=1)).ravel()
     adj.data /= np.repeat(degree, np.diff(adj.indptr))
     return adj.astype(default_dtype(), copy=False)
+
+
+def normalized_adjacency(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Build ``D^-1 (A + I)`` for one undirected graph (paper Eq. 4)."""
+    return _block_diagonal_operator(np.array([n_nodes]), [edges])
 
 
 @dataclass(frozen=True)
@@ -149,60 +166,39 @@ class GraphBatch:
 def build_batch(examples: Sequence[GraphExample]) -> GraphBatch:
     """Fuse *examples* into one :class:`GraphBatch`.
 
-    The block-diagonal ``D^-1 (A + I)`` operator is assembled directly from
-    the concatenated (offset) edge arrays with a single ``sp.coo_matrix``
-    call — no per-example sparse matrices, no ``sp.block_diag``.  Operator
-    data and features are stored in the runtime default dtype so forward
-    passes never re-cast.
+    The block-diagonal ``D^-1 (A + I)`` operator comes from one
+    :func:`_block_diagonal_operator` call — no per-example sparse matrices,
+    no ``sp.block_diag``.  Operator data and features are stored in the
+    runtime default dtype so forward passes never re-cast.
     """
     if not examples:
         raise ValueError("cannot batch zero graphs")
     widths = {e.features.shape[1] for e in examples}
     if len(widths) != 1:
         raise ValueError(f"inconsistent feature widths {sorted(widths)}")
-    dtype = default_dtype()
     features = np.vstack([e.features for e in examples]).astype(
-        dtype, copy=False
+        default_dtype(), copy=False
     )
-    sizes = np.array([e.n_nodes for e in examples])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    labels = np.array([e.label for e in examples], dtype=np.int64)
-
-    total = int(offsets[-1])
-    shifted = [
-        e.edges + off for e, off in zip(examples, offsets) if e.edges.size
-    ]
-    if shifted:
-        stacked = np.concatenate(shifted)
-        rows = np.concatenate([stacked[:, 0], stacked[:, 1]])
-        cols = np.concatenate([stacked[:, 1], stacked[:, 0]])
-        adj = sp.coo_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(total, total)
-        ).tocsr()
-        adj.data[:] = 1.0  # collapse duplicate edges
-    else:
-        adj = sp.csr_matrix((total, total))
-    adj = adj + sp.identity(total, format="csr")
-    degree = np.asarray(adj.sum(axis=1)).ravel()
-    adj.data /= np.repeat(degree, np.diff(adj.indptr))
+    sizes = np.array([e.n_nodes for e in examples], dtype=np.int64)
     return GraphBatch(
-        norm_adj=adj.astype(dtype, copy=False),
+        norm_adj=_block_diagonal_operator(sizes, [e.edges for e in examples]),
         features=features,
-        node_offsets=offsets,
-        labels=labels,
+        node_offsets=np.concatenate([[0], np.cumsum(sizes)]),
+        labels=np.array([e.label for e in examples], dtype=np.int64),
     )
 
 
 class BatchAssembler:
     """Per-example batch components built once; batches stitched on demand.
 
-    For every example the normalized operator ``D^-1 (A + I)`` (CSR data /
-    indices / indptr arrays) and the feature block are computed exactly
-    once, at construction.  :meth:`assemble` then fuses any index order
-    into a block-diagonal :class:`GraphBatch` with plain ``concatenate``
-    calls — no coo/dedup/degree work ever runs again, and the result is
-    bit-identical to :func:`build_batch` over the same examples (the
-    block-diagonal operator decomposes exactly into per-example blocks).
+    Construction is one vectorized pass over the split: one block-diagonal
+    :func:`_block_diagonal_operator` build, sliced into per-example CSR
+    data / indices / indptr by subtracting node and nnz offsets, and one
+    feature arena in the runtime dtype written in place.  :meth:`assemble`
+    then fuses any index order into a block-diagonal :class:`GraphBatch`
+    with plain ``concatenate`` calls — no coo/dedup/degree work ever runs
+    again, and the result is bit-identical to :func:`build_batch` over the
+    same examples (the operator decomposes exactly into per-example blocks).
 
     This is what lets the trainer keep the paper's example-level shuffle
     (fresh batch composition every epoch) while paying scipy costs only
@@ -211,7 +207,7 @@ class BatchAssembler:
 
     __slots__ = (
         "dtype", "sizes", "labels",
-        "_data", "_indices", "_indptr_tail", "_nnz", "_features",
+        "_data", "_indices", "_indptr_tail", "_nnz",
         "_flat_features", "_node_starts", "_feature_cols",
         "_ell_blocks", "_ell_t_blocks", "_scratch",
     )
@@ -223,42 +219,33 @@ class BatchAssembler:
         self.dtype = default_dtype()
         self.sizes = np.array([e.n_nodes for e in examples], dtype=np.int64)
         self.labels = np.array([e.label for e in examples], dtype=np.int64)
-        self._data: list[np.ndarray] = []
-        self._indices: list[np.ndarray] = []
-        self._indptr_tail: list[np.ndarray] = []
-        self._nnz = np.empty(len(examples), dtype=np.int64)
-        feature_blocks: list[np.ndarray] = []
+        starts = self._node_starts = np.concatenate([[0], np.cumsum(self.sizes)])
+        node_bounds = list(zip(starts[:-1], starts[1:]))
+        # One operator build for the whole split; example i's CSR parts are
+        # its rows of it, shifted back to local node and nnz numbering.
+        operator = _block_diagonal_operator(self.sizes, [e.edges for e in examples])
+        nnz_starts = operator.indptr[starts].astype(np.int64)
+        self._nnz = np.diff(nnz_starts)
+        indices = operator.indices - np.repeat(starts[:-1], self._nnz)
+        indptr_tail = operator.indptr[1:] - np.repeat(nnz_starts[:-1], self.sizes)
+        nnz_bounds = list(zip(nnz_starts[:-1], nnz_starts[1:]))
+        self._data = [operator.data[a:b] for a, b in nnz_bounds]
+        self._indices = [indices[a:b] for a, b in nnz_bounds]
+        self._indptr_tail = [indptr_tail[a:b] for a, b in node_bounds]
+        # One feature arena, each example's block cast on assignment: a
+        # shuffled batch's feature matrix is then one range gather.
+        self._flat_features = np.empty(
+            (int(starts[-1]), widths.pop() if widths else 0),
+            dtype=self.dtype,
+        )
+        for example, (a, b) in zip(examples, node_bounds):
+            self._flat_features[a:b] = example.features
+        self._feature_cols = self._detect_onehot_columns()
         # Per-example batched-ELL blocks, built on first use under the
         # ell/numba spmm backends (see _ensure_ell_blocks).
         self._ell_blocks: list[BlockEll] | None = None
         self._ell_t_blocks: list[BlockEll] | None = None
         self._scratch = Workspace()
-        for i, example in enumerate(examples):
-            operator = normalized_adjacency(example.n_nodes, example.edges)
-            self._data.append(operator.data)
-            self._indices.append(operator.indices.astype(np.int64, copy=False))
-            self._indptr_tail.append(
-                operator.indptr[1:].astype(np.int64, copy=False)
-            )
-            self._nnz[i] = operator.nnz
-            feature_blocks.append(
-                example.features.astype(self.dtype, copy=False)
-            )
-        # One flat feature arena; per-example entries are views into it, so
-        # a shuffled batch's feature matrix is one range gather instead of
-        # a 50-array concatenate, at no extra memory.
-        self._node_starts = np.concatenate(
-            [[0], np.cumsum(self.sizes)]
-        ).astype(np.int64)
-        if feature_blocks:
-            self._flat_features = np.concatenate(feature_blocks)
-        else:
-            self._flat_features = np.empty((0, 0), dtype=self.dtype)
-        self._features: list[np.ndarray] = [
-            self._flat_features[self._node_starts[i] : self._node_starts[i + 1]]
-            for i in range(len(examples))
-        ]
-        self._feature_cols = self._detect_onehot_columns()
 
     def _detect_onehot_columns(self) -> np.ndarray | None:
         """``(total_nodes, c)`` one-hot column indices, or ``None``.
@@ -282,7 +269,7 @@ class BatchAssembler:
         return np.nonzero(nonzero)[1].reshape(-1, per_row).astype(np.int64)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.sizes)
 
     def _ensure_ell_blocks(self) -> None:
         """Build every example's ELL (and transposed-ELL) block once.

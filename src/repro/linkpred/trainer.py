@@ -7,7 +7,7 @@ CI-scale experiments pass smaller epoch counts through the same interface.
 The engine is built for throughput:
 
 * **Cached batch components** — every example's normalized operator and
-  feature block is built exactly once per split
+  feature block is built once per split, in one vectorized pass
   (:class:`~repro.gnn.BatchAssembler`); the per-epoch shuffle then
   assembles batches by pure array stitching, so epochs 2..N run none of
   the coo/dedup/degree scipy work.  The trajectory is bit-identical to
@@ -198,15 +198,20 @@ def _roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     ``nan`` for single-class label sets — with tiny validation splits a
     class can be absent, and a fake 0.5 would poison best-epoch logic.
     """
-    from scipy.stats import rankdata
-
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     n_pos = int((labels == 1).sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(scores)
+    # Average-tie ranks, as ``scipy.stats.rankdata`` (not imported: slow):
+    # a tie group at sorted positions [start, end) gets (start + end + 1) / 2.
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -412,7 +417,8 @@ class Trainer:
         self.history = TrainHistory()
         self.epoch = 0
         self._best_state = self.model.state_dict()
-        # The expensive part — built exactly once per split.
+        # Built once per split: training as one block-diagonal operator pass
+        # plus a feature arena, validation as fixed prebuilt batches.
         self.train_assembler = BatchAssembler(dataset.train)
         self.val_cache = BatchCache(dataset.validation, config.batch_size)
 

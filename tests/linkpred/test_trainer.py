@@ -464,3 +464,66 @@ def test_checkpoint_with_mismatched_kfac_state_raises_cleanly(tmp_path):
     with pytest.raises(TrainingError, match="does not fit this model"):
         fresh.load_checkpoint(broken)
     assert fresh.epoch == 0
+
+
+# ----------------------------------------------------------------- ROC AUC
+def _scipy_rank_auc(labels, scores):
+    """The previous ``_roc_auc``: Mann-Whitney over ``scipy.stats.rankdata``."""
+    from scipy.stats import rankdata
+
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int((labels == 1).sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    pos_rank_sum = float(rankdata(scores)[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_roc_auc_equals_scipy_rankdata_formula_exactly(dtype):
+    from repro.linkpred.trainer import _roc_auc
+
+    rng = np.random.default_rng(11)
+    sizes = [2, 3, 5, 17, 64, 255, 1000] + list(rng.integers(2, 1001, 40))
+    for size in sizes:
+        # Few distinct levels => heavy ties; plus one all-tied draw.
+        levels = int(rng.integers(1, max(2, size // 3)))
+        scores = (rng.integers(0, levels, size) / max(levels, 1)).astype(dtype)
+        labels = rng.integers(0, 2, size)
+        labels[:2] = [0, 1]
+        rng.shuffle(labels)
+        assert _roc_auc(labels, scores) == _scipy_rank_auc(labels, scores)
+        fine = rng.random(size).astype(dtype)
+        assert _roc_auc(labels, fine) == _scipy_rank_auc(labels, fine)
+    for single in (np.zeros(7, dtype=int), np.ones(7, dtype=int)):
+        assert np.isnan(_roc_auc(single, rng.random(7).astype(dtype)))
+
+
+def test_training_path_never_imports_scipy_stats():
+    """A whole small attack leaves ``scipy.stats`` unimported."""
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "from repro import MuxLinkConfig, TrainConfig, lock_dmux,"
+        " random_netlist, run_muxlink\n"
+        "base = random_netlist('nostats', 8, 4, 80, seed=5)\n"
+        "locked = lock_dmux(base, key_size=4, seed=5)\n"
+        "run_muxlink(locked.circuit, MuxLinkConfig(h=1,"
+        " train=TrainConfig(epochs=2, seed=0), seed=0))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
