@@ -6,8 +6,9 @@ two key sizes -> 8 unique attacks) through three execution paths:
 * **serial**  — ``ExperimentRunner(jobs=0)``, the reproducible baseline;
 * **spool**   — ``WORKERS`` real ``repro worker`` processes draining a
   spool directory, coordinator adopting results from the shared store;
-* **socket**  — the same workers connected to the coordinator's
-  embedded TCP queue (no shared filesystem in the job path).
+* **socket**  — the same workers, started with ``--serve-addr``,
+  connected to the ``repro serve`` loop the coordinator embeds (no
+  shared filesystem in the job path).
 
 All three paths must produce **bit-identical** record fingerprints
 (asserted).  Wall-clock per path plus the coordinator's pure bus
@@ -40,13 +41,14 @@ import time
 from dataclasses import replace
 
 from perf_record import update_record
-from repro.bus import SocketBus, SpoolBus, SpoolDir
+from repro.bus import SpoolBus, SpoolDir
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
     fig7_cells,
     record_fingerprint,
 )
+from repro.serve import ServeBus
 from repro.store import ArtifactStore
 
 WORKERS = int(os.environ.get("REPRO_BENCH_BUS_WORKERS", "4"))
@@ -172,8 +174,8 @@ def test_bus_fanout_speedup_and_overhead():
         assert spool_stats.requeues == 0 and spool_stats.quarantined == 0
 
         socket_store = ArtifactStore(tmp / "store-socket")
-        bus = SocketBus(poll=0.05, timeout=600)
-        workers = _start_workers(["--bus-addr", bus.address])
+        bus = ServeBus(store=socket_store, poll=0.05, timeout=600)
+        workers = _start_workers(["--serve-addr", bus.address])
         try:
             runner = ExperimentRunner(store=socket_store, bus=bus)
             socket_fp, socket_s = _timed_run(runner, cells)

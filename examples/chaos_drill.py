@@ -12,7 +12,7 @@ Walks the robustness layer bottom-up:
 
 The same drills run distributed topologies from the CLI::
 
-    python -m repro.cli chaos --plan worker-crash --plan socket-flaky
+    python -m repro.cli chaos --plan worker-crash --plan serve-flaky
 
 ::
 

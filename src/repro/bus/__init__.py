@@ -3,8 +3,9 @@
 See :mod:`repro.bus.protocol` for the seam contract, and the three
 backends: :class:`~repro.bus.local.LocalBus` (in-process / pool),
 :class:`~repro.bus.spool.SpoolBus` (shared spool directory + N
-``repro worker`` processes) and :class:`~repro.bus.socketbus.SocketBus`
-(stdlib TCP queue).
+``repro worker`` processes) and :class:`~repro.serve.bus.ServeBus`
+(``--bus socket``: an embedded ``repro serve`` loop fed over TCP).
+:mod:`repro.bus.wire` holds the TCP framing every TCP peer shares.
 """
 
 from repro.bus.local import LocalBus
@@ -37,10 +38,10 @@ from repro.bus.protocol import (
     job_artifact_kind,
     resolve_bus,
 )
-from repro.bus.socketbus import SocketBus, parse_address, serve_spool
 from repro.bus.spool import SpoolBus, SpoolDir
 from repro.bus.threads import limit_blas_threads
 from repro.bus.worker import WorkerStats, run_worker
+from repro.bus.wire import parse_address
 
 __all__ = [
     "BLAS_THREADS_ENV",
@@ -68,7 +69,6 @@ __all__ = [
     "LocalBus",
     "QuarantinedJob",
     "RetryPolicy",
-    "SocketBus",
     "SpoolBus",
     "SpoolDir",
     "WorkerStats",
@@ -78,5 +78,4 @@ __all__ = [
     "parse_address",
     "resolve_bus",
     "run_worker",
-    "serve_spool",
 ]

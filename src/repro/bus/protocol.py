@@ -9,8 +9,9 @@ dedupes it against its caches, and hands the surviving *unique* jobs to a
 * :class:`~repro.bus.spool.SpoolBus` — a filesystem spool directory
   shared with N independent ``repro worker`` processes (any host that
   mounts the directory and the artifact store).
-* :class:`~repro.bus.socketbus.SocketBus` — a stdlib TCP queue embedded
-  in the coordinator; workers connect with ``repro worker --bus-addr``.
+* :class:`~repro.serve.bus.ServeBus` (``socket``) — an
+  :class:`~repro.serve.AttackServer` embedded in the coordinator; workers
+  connect with ``repro worker --serve-addr``.
 
 The exchange format is fixed by the scheduler boundary PR 5 built:
 a job travels as ``{store_key, circuit payload, config dict}`` and a
@@ -186,8 +187,8 @@ class JobBus:
     ) -> "Iterator[tuple[AttackJob, dict, bool]]":
         """Graceful degradation: execute *jobs* in this process.
 
-        The distributed backends call this when their liveness deadline
-        expires with no sign of a worker fleet — the grid finishes on
+        The spool bus calls this when its liveness deadline expires
+        with no sign of a worker fleet — the grid finishes on
         the coordinator (slowly, serially) instead of hanging forever.
         Yields the same ``(job, payload, persisted=False)`` tuples as a
         live bus, so the runner's write-through path persists results
@@ -306,7 +307,8 @@ def resolve_bus(
     a directory (*bus_dir* / ``REPRO_BUS_DIR``) **and** a shared
     artifact store (results travel through it); ``socket`` needs a bind
     address (*bus_addr* / ``REPRO_BUS_ADDR``, default an ephemeral
-    localhost port).
+    localhost port) and uses *store* as its server's store when it is a
+    local :class:`~repro.store.ArtifactStore`.
 
     *liveness* is the graceful-degradation deadline (seconds of total
     silence before remaining jobs fail over to in-process execution;
@@ -362,11 +364,12 @@ def resolve_bus(
             retry=retry,
         )
     if name == "socket":
-        from repro.bus.socketbus import SocketBus
+        from repro.serve.bus import ServeBus
 
         bus_addr = bus_addr or os.environ.get(BUS_ADDR_ENV, "").strip()
-        return SocketBus(
+        return ServeBus(
             bus_addr or "127.0.0.1:0",
+            store=store,
             poll=poll,
             max_attempts=max_attempts,
             timeout=timeout,

@@ -5,6 +5,7 @@ Layout (all codec npz files, atomic same-dir tmp + rename writes)::
     <spool>/pending/<store_key>.npz      # enqueued job, waiting for a lease
     <spool>/leased/<store_key>.npz       # claimed; mtime is the heartbeat
     <spool>/quarantine/<store_key>.npz   # poisoned job + persisted traceback
+    <spool>/requeued.log                 # one line per requeue (the key)
 
 The **lease** is an atomic ``os.rename`` from ``pending/`` to
 ``leased/``: exactly one worker wins a job, with no locks and no server.
@@ -12,9 +13,11 @@ While executing, the holder touches the leased file's mtime every few
 seconds; a lease whose mtime goes stale (``stale_after``) is presumed
 orphaned — its worker was SIGKILLed or lost power — and any other
 process (coordinator or worker) *reaps* it back to ``pending/`` with the
-attempt count bumped.  A job that fails or expires ``max_attempts``
-times moves to ``quarantine/`` with the traceback persisted, so a
-deterministic crash can never ping-pong between workers forever.
+attempt count bumped.  Every requeue appends the key to
+``requeued.log``, so the coordinator counts requeues whoever performed
+them.  A job that fails or expires ``max_attempts`` times moves to
+``quarantine/`` with the traceback persisted, so a deterministic crash
+can never ping-pong between workers forever.
 
 Results never travel through the spool: a worker executes
 :func:`~repro.experiments.runner.execute_attack_job` and writes the
@@ -83,6 +86,10 @@ class SpoolDir:
     @property
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
+
+    @property
+    def requeue_log(self) -> Path:
+        return self.root / "requeued.log"
 
     @staticmethod
     def _check_key(key: str) -> str:
@@ -199,15 +206,11 @@ class SpoolDir:
             pass  # reaped while we executed; the requeued copy is harmless
 
     def fail(self, key: str, traceback_text: str) -> bool:
-        """Report a failed execution; returns ``True`` when quarantined."""
+        """Requeue a held lease; returns ``True`` when quarantined."""
         claimed = self._claim(self.leased_dir / f"{key}.npz")
         if claimed is None:
             return False  # reaped concurrently; the reaper owns the retry
         return self._requeue(claimed, traceback_text)
-
-    def release(self, key: str, reason: str = "lease released") -> bool:
-        """Return a held lease to pending (e.g. a proxied worker vanished)."""
-        return self.fail(key, reason)
 
     def withdraw(self, key: str) -> bool:
         """Remove a pending job (the coordinator is taking it back)."""
@@ -285,6 +288,21 @@ class SpoolDir:
             reaped += 1
         return reaped
 
+    def requeued_since(self, offset: int) -> tuple[list[str], int]:
+        """Keys requeued by any process after byte *offset* of the log.
+
+        Returns the keys and the offset to pass next time.  Only whole
+        lines count, so a concurrent append is picked up on the next call.
+        """
+        try:
+            with open(self.requeue_log, "rb") as log:
+                log.seek(offset)
+                data = log.read()
+        except FileNotFoundError:
+            return [], offset
+        end = data.rfind(b"\n") + 1
+        return data[:end].decode().split(), offset + end
+
     def quarantined(self) -> list[QuarantinedJob]:
         """Decode every poisoned job (with its persisted traceback)."""
         out = []
@@ -335,6 +353,10 @@ class SpoolDir:
                 kind=BUS_JOB_KIND,
             )
             claimed.unlink(missing_ok=True)
+            # One short O_APPEND write: atomic on a local filesystem, so
+            # concurrent requeuers never interleave a line.
+            with open(self.requeue_log, "ab") as log:
+                log.write(f"{key}\n".encode())
         return quarantined
 
     def _quarantine_raw(
@@ -401,6 +423,8 @@ class SpoolBus(JobBus):
             waiting[job.store_key] = job
             self.stats.submitted += 1
         self.stats.submit_seconds += time.perf_counter() - t0
+        run_keys = set(waiting)
+        _, log_offset = self.spool.requeued_since(0)
 
         last_progress = time.monotonic()
         while waiting:
@@ -433,7 +457,11 @@ class SpoolBus(JobBus):
                         f"{poisoned.attempts} attempt(s); persisted worker "
                         f"traceback:\n{poisoned.traceback}"
                     )
-            self.stats.requeues += self.spool.reap_stale()
+            # Requeues by any process count — a peer worker often reaps
+            # a dead worker's lease before this loop gets to it.
+            self.spool.reap_stale()
+            requeued, log_offset = self.spool.requeued_since(log_offset)
+            self.stats.requeues += sum(key in run_keys for key in requeued)
             self.stats.adopt_seconds += time.perf_counter() - t0
             if not waiting:
                 break

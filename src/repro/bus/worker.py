@@ -1,8 +1,8 @@
 """The ``repro worker`` loop: lease, execute, publish, repeat.
 
 A worker is a plain process started with either a spool directory
-(``repro worker --bus-dir SPOOL --store STORE``) or a coordinator
-address (``repro worker --bus-addr HOST:PORT``).  It knows nothing
+(``repro worker --bus-dir SPOOL --store STORE``) or a server address
+(``repro worker --serve-addr HOST:PORT``).  It knows nothing
 about figures or grids — it executes
 :func:`~repro.experiments.runner.execute_job` on whatever the bus
 hands it (MuxLink attack jobs and baseline-attack jobs alike), one job
@@ -14,9 +14,10 @@ at a time:
   the store is completed without recomputation (the warm-store path),
   and crash recovery is entirely passive: if this process is SIGKILLed
   mid-job the heartbeat stops and any peer reaps the lease.
-* **socket mode** — hold one connection to the coordinator (or
-  ``repro serve-bus`` broker), request jobs, ship results back over the
-  wire.  The server treats a dropped connection as this worker's death.
+* **serve mode** — hold one connection to a ``repro serve`` front end
+  (or the server a ``--bus socket`` coordinator embeds), execute the job
+  frames it pushes, ship results back over the wire.  The server treats
+  a dropped connection as this worker's death.
 
 Workers may start before or after the coordinator, and several may race
 over one spool — the lease protocol makes the outcome identical either
@@ -133,7 +134,6 @@ class _Heartbeat:
 
 def run_worker(
     bus_dir: "str | os.PathLike | None" = None,
-    bus_addr: str | None = None,
     serve_addr: str | None = None,
     store: "ArtifactStore | str | os.PathLike | None" = None,
     poll: float = DEFAULT_POLL,
@@ -149,9 +149,9 @@ def run_worker(
 ) -> WorkerStats:
     """Run the worker loop until idle for *idle_timeout* seconds.
 
-    Exactly one of *bus_dir* (spool mode, requires *store*), *bus_addr*
-    (socket mode) or *serve_addr* (persistent pipelined connection to a
-    ``repro serve`` front end) must be given.  ``idle_timeout=None``
+    Exactly one of *bus_dir* (spool mode, requires *store*) or
+    *serve_addr* (persistent pipelined connection to a ``repro serve``
+    front end) must be given.  ``idle_timeout=None``
     runs forever (the daemon deployment); *max_jobs* bounds how many
     jobs this process executes (useful in tests and crash drills).
 
@@ -166,15 +166,12 @@ def run_worker(
     (``REPRO_BUS_LEASE_BATCH``, default 1).  *pipeline* (serve mode) is
     the in-flight window this worker advertises to the server.
 
-    *retry* is the socket/serve-mode connect/read policy (timeouts +
-    the reconnect backoff schedule); default
+    *retry* is the serve-mode connect/read policy (timeouts + the
+    reconnect backoff schedule); default
     :meth:`RetryPolicy.from_env`.
     """
-    chosen = [x for x in (bus_dir, bus_addr, serve_addr) if x is not None]
-    if len(chosen) != 1:
-        raise BusError(
-            "worker needs exactly one of bus_dir, bus_addr or serve_addr"
-        )
+    if (bus_dir is None) == (serve_addr is None):
+        raise BusError("worker needs exactly one of bus_dir or serve_addr")
     if blas_threads is None:
         raw = os.environ.get(BLAS_THREADS_ENV, "").strip()
         blas_threads = int(raw) if raw else DEFAULT_WORKER_BLAS_THREADS
@@ -196,21 +193,12 @@ def run_worker(
             lease_batch=max(1, lease_batch),
             log=log,
         )
-    if serve_addr is not None:
-        return _run_serve_worker(
-            serve_addr,
-            poll=poll,
-            idle_timeout=idle_timeout,
-            max_jobs=max_jobs,
-            pipeline=max(1, pipeline),
-            retry=retry,
-            log=log,
-        )
-    return _run_socket_worker(
-        bus_addr,
+    return _run_serve_worker(
+        serve_addr,
         poll=poll,
         idle_timeout=idle_timeout,
         max_jobs=max_jobs,
+        pipeline=max(1, pipeline),
         retry=retry,
         log=log,
     )
@@ -295,7 +283,7 @@ def _run_spool_worker(
             # interrupt, a crash between jobs) go straight back to
             # pending instead of waiting out a stale-reap.
             for key, _ in batch:
-                spool.release(key, "worker released unexecuted batch lease")
+                spool.fail(key, "worker released unexecuted batch lease")
     log(f"worker[{os.getpid()}]: done ({stats.summary()})")
     return stats
 
@@ -323,142 +311,13 @@ def _execute_leased(
         stats.executed += 1
         log(f"worker[{os.getpid()}]: completed {key[:12]}…")
     except KeyboardInterrupt:
-        spool.release(key, "worker interrupted")
+        spool.fail(key, "worker interrupted")
         raise
     except Exception:
         stats.failed += 1
         quarantined = spool.fail(key, traceback.format_exc())
         verb = "quarantined" if quarantined else "requeued"
         log(f"worker[{os.getpid()}]: {verb} {key[:12]}… after failure")
-
-
-# ---------------------------------------------------------------------------
-# Socket mode
-# ---------------------------------------------------------------------------
-def _run_socket_worker(
-    bus_addr: str,
-    *,
-    poll: float,
-    idle_timeout: float | None,
-    max_jobs: int | None,
-    retry: RetryPolicy,
-    log,
-) -> WorkerStats:
-    import errno
-
-    from repro.bus.socketbus import parse_address, recv_message, send_message
-    from repro.experiments.runner import execute_job
-
-    host, port = parse_address(bus_addr)
-    stats = WorkerStats()
-    idle_since = time.monotonic()
-    conn: socket.socket | None = None
-    connect_attempt = 0
-    log(f"worker[{os.getpid()}]: socket bus {host}:{port}")
-    try:
-        while True:
-            if (
-                idle_timeout is not None
-                and time.monotonic() - idle_since > idle_timeout
-            ):
-                break
-            if conn is None:
-                try:
-                    if faults.fire("socket.connect_refused"):
-                        raise OSError(
-                            errno.ECONNREFUSED,
-                            "injected fault socket.connect_refused",
-                        )
-                    conn = socket.create_connection(
-                        (host, port), timeout=retry.connect_timeout
-                    )
-                    conn.settimeout(retry.read_timeout)
-                    connect_attempt = 0
-                except OSError:
-                    # Coordinator not up yet (workers may legally start
-                    # first) — retry on the policy backoff schedule,
-                    # floored at the poll interval so a zero-delay
-                    # policy cannot busy-spin on a closed port.
-                    connect_attempt += 1
-                    time.sleep(max(retry.delay(connect_attempt), poll))
-                    continue
-            try:
-                send_message(conn, {"op": "lease"})
-                if faults.fire("socket.read_timeout"):
-                    raise socket.timeout(
-                        "injected fault socket.read_timeout"
-                    )
-                message = recv_message(conn)
-            except OSError:
-                message = None
-            if message is None:  # server went away; reconnect
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None
-                time.sleep(poll)
-                continue
-            if message.get("op") == "empty":
-                time.sleep(poll)
-                continue
-            if message.get("op") != "job":  # pragma: no cover - bad server
-                continue
-            idle_since = time.monotonic()
-            key = str(message["key"])
-            if faults.fire("socket.frame_eof"):
-                # Drop the connection mid-frame: the server sees EOF on
-                # a connection with an executing job and requeues it.
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None
-                continue
-            try:
-                job = decode_job(message["job"])
-                _test_delay()
-                _mid_job_faults()
-                artifact = execute_job(job)
-            except Exception:
-                stats.failed += 1
-                reply = {
-                    "op": "failed",
-                    "key": key,
-                    "traceback": traceback.format_exc(),
-                }
-            else:
-                stats.executed += 1
-                reply = {
-                    "op": "done",
-                    "key": key,
-                    # The broker persists the result under this store
-                    # kind (a plain coordinator ignores it).
-                    "kind": getattr(job, "artifact_kind", "attacks"),
-                    "result": artifact,
-                }
-                log(f"worker[{os.getpid()}]: completed {key[:12]}…")
-            try:
-                send_message(conn, reply)
-            except OSError:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                conn = None  # server will requeue; nothing else to do
-            if (
-                max_jobs is not None
-                and stats.executed + stats.skipped >= max_jobs
-            ):
-                break
-    finally:
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-    log(f"worker[{os.getpid()}]: done ({stats.summary()})")
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +335,17 @@ def _run_serve_worker(
 ) -> WorkerStats:
     """Announce, then execute **pushed** jobs off one long connection.
 
-    Unlike socket mode there is no lease round-trip: the server keeps up
-    to *pipeline* job frames in flight, so the next job is already
-    sitting in this socket's buffer when the current one finishes.  A
-    dropped connection (server restart, injected ``serve.accept_drop``)
-    reconnects on the retry backoff; the server requeues whatever this
-    worker had in flight.
+    There is no lease round-trip: the server keeps up to *pipeline* job
+    frames in flight, so the next job is already sitting in this
+    socket's buffer when the current one finishes.  A dropped connection
+    (server restart, injected ``serve.accept_drop`` or
+    ``socket.frame_eof``) reconnects on the retry backoff; the server
+    requeues whatever this worker had in flight.
     """
     import errno
     import select
 
-    from repro.bus.socketbus import parse_address, recv_message, send_message
+    from repro.bus.wire import parse_address, recv_message, send_message
     from repro.experiments.runner import execute_job
 
     host, port = parse_address(serve_addr)
@@ -521,10 +380,7 @@ def _run_serve_worker(
                     )
                 except OSError:
                     if conn is not None:
-                        try:
-                            conn.close()
-                        except OSError:  # pragma: no cover
-                            pass
+                        conn.close()
                         conn = None
                     connect_attempt += 1
                     time.sleep(max(retry.delay(connect_attempt), poll))
@@ -542,16 +398,19 @@ def _run_serve_worker(
             except OSError:
                 message = None
             if message is None:  # server went away; reconnect
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+                conn.close()
                 conn = None
                 time.sleep(poll)
                 continue
             if message.get("op") != "job":  # pragma: no cover - bad server
                 continue
             idle_since = time.monotonic()
+            if faults.fire("socket.frame_eof"):
+                # Drop the connection holding a job: the server sees EOF
+                # and requeues this worker's whole in-flight window.
+                conn.close()
+                conn = None
+                continue
             key = str(message["key"])
             try:
                 job = decode_job(message["job"])
@@ -577,10 +436,7 @@ def _run_serve_worker(
             try:
                 send_message(conn, reply)
             except OSError:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+                conn.close()
                 conn = None  # server requeues its in-flight window
             if (
                 max_jobs is not None
@@ -589,9 +445,6 @@ def _run_serve_worker(
                 break
     finally:
         if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            conn.close()
     log(f"worker[{os.getpid()}]: done ({stats.summary()})")
     return stats

@@ -34,10 +34,9 @@ verify`` administers it.
 
 ``--bus`` swaps the execution backend under ``figures``: ``local``
 (default, this host), ``spool`` (a shared spool directory drained by N
-``repro worker --bus-dir`` processes) or ``socket`` (a TCP queue served
-from the coordinator; workers connect with ``repro worker --bus-addr``).
-``repro serve-bus`` bridges a spool directory to socket workers that
-cannot mount it.  Results are bit-identical across all backends::
+``repro worker --bus-dir`` processes) or ``socket`` (the ``repro serve``
+loop embedded in the coordinator; workers connect with ``repro worker
+--serve-addr``).  Results are bit-identical across all backends::
 
     python -m repro.cli worker --bus-dir /tmp/spool --store /tmp/store &
     python -m repro.cli worker --bus-dir /tmp/spool --store /tmp/store &
@@ -241,7 +240,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     import os
 
     from repro.bus import (
-        BUS_ADDR_ENV,
         BUS_DIR_ENV,
         SERVE_ADDR_ENV,
         BusError,
@@ -249,14 +247,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     )
 
     bus_dir = args.bus_dir or os.environ.get(BUS_DIR_ENV, "").strip() or None
-    bus_addr = args.bus_addr or os.environ.get(BUS_ADDR_ENV, "").strip() or None
     serve_addr = (
         args.serve_addr or os.environ.get(SERVE_ADDR_ENV, "").strip() or None
     )
     try:
         stats = run_worker(
             bus_dir=bus_dir,
-            bus_addr=bus_addr,
             serve_addr=serve_addr,
             store=args.store,
             poll=args.poll,
@@ -277,9 +273,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import os
+    import signal
     import subprocess
 
-    from repro.bus.protocol import SERVE_ADDR_ENV
+    from repro.bus.protocol import SERVE_ADDR_ENV, BusError
     from repro.serve import AttackServer, ServeError
 
     try:
@@ -291,7 +288,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             poll=args.poll,
             cache_entries=args.cache_entries,
         )
-    except ServeError as exc:
+    except (BusError, ServeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # Readiness line first (benches and CI parse the bound address from
@@ -302,6 +299,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"pipeline {args.pipeline})",
         flush=True,
     )
+    # SIGTERM stops the loop like a wire shutdown, so the finally below
+    # still terminates the worker fleet instead of orphaning it.
+    signal.signal(signal.SIGTERM, lambda *_: server.stop())
     workers: list[subprocess.Popen] = []
     env = dict(os.environ)
     env[SERVE_ADDR_ENV] = server.address
@@ -339,42 +339,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 proc.kill()
     print(f"serve: {stats.summary()}")
     print(f"serve: store {server.store.stats.summary()}")
-    return 0
-
-
-def _cmd_serve_bus(args: argparse.Namespace) -> int:
-    from repro.bus import BusError, SpoolDir, serve_spool
-    from repro.store import resolve_store
-
-    store = resolve_store(args.store)
-    if store is None:
-        print(
-            "error: serve-bus needs the shared artifact store — pass "
-            "--store DIR or set REPRO_STORE",
-            file=sys.stderr,
-        )
-        return 2
-    spool = SpoolDir(
-        args.bus_dir,
-        stale_after=args.stale_after,
-        max_attempts=args.max_attempts,
-    )
-    try:
-        stats = serve_spool(
-            spool,
-            args.bus_addr,
-            store,
-            poll=args.poll,
-            idle_timeout=args.idle_timeout,
-            max_jobs=args.max_jobs,
-        )
-    except BusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"serve-bus: served={stats['served']} completed={stats['completed']} "
-        f"failed={stats['failed']} requeued={stats['requeued']}"
-    )
     return 0
 
 
@@ -805,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--spmm",
-        choices=("scipy", "ell", "numba"),
+        choices=("scipy", "ell"),
         default=None,
         help="sparse kernel family (default scipy; also via REPRO_SPMM)",
     )
@@ -899,18 +863,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="execute attack jobs from a spool directory or socket bus",
+        help="execute attack jobs from a spool directory or a serve endpoint",
     )
     p.add_argument(
         "--bus-dir",
         default=None,
         help="spool directory to lease jobs from (default: REPRO_BUS_DIR); "
         "requires --store",
-    )
-    p.add_argument(
-        "--bus-addr",
-        default=None,
-        help="coordinator/broker address host:port (default: REPRO_BUS_ADDR)",
     )
     p.add_argument(
         "--store",
@@ -958,8 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--serve-addr",
         default=None,
-        help="`repro serve` endpoint to hold a persistent pipelined "
-        "connection to (default: REPRO_SERVE_ADDR)",
+        help="`repro serve` endpoint, or the --bus-addr of a `--bus "
+        "socket` coordinator, to hold a persistent pipelined connection "
+        "to (default: REPRO_SERVE_ADDR)",
     )
     p.add_argument(
         "--pipeline",
@@ -989,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="NAME",
         help="named fault plan to drill (repeatable): worker-crash, "
-        "socket-flaky, torn-store, enospc, heartbeat-stall, lease-race, "
+        "torn-store, enospc, heartbeat-stall, lease-race, "
         "all-workers-die, serve-flaky",
     )
     p.add_argument(
@@ -1005,48 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep each drill's spool/store work directory for autopsy",
     )
     p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser(
-        "serve-bus",
-        help="serve a spool directory to socket workers over TCP",
-    )
-    p.add_argument(
-        "--bus-dir",
-        required=True,
-        help="spool directory to serve jobs from",
-    )
-    p.add_argument(
-        "--bus-addr",
-        default="127.0.0.1:0",
-        help="bind address host:port (default: ephemeral localhost port)",
-    )
-    p.add_argument(
-        "--store",
-        default=None,
-        help="shared artifact store results are written to "
-        "(default: REPRO_STORE)",
-    )
-    p.add_argument("--poll", type=float, default=0.25)
-    p.add_argument(
-        "--stale-after",
-        type=float,
-        default=30.0,
-        help="spool leases with no heartbeat for this long are reaped",
-    )
-    p.add_argument("--max-attempts", type=int, default=3)
-    p.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        help="exit after this many fully idle seconds (default: run forever)",
-    )
-    p.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        help="exit after this many completed jobs",
-    )
-    p.set_defaults(func=_cmd_serve_bus)
 
     p = sub.add_parser(
         "serve",

@@ -61,7 +61,7 @@ class ServeClient:
     def __init__(
         self, address: str, retry: RetryPolicy | None = None
     ) -> None:
-        from repro.bus.socketbus import parse_address
+        from repro.bus.wire import parse_address
 
         self.host, self.port = parse_address(address)
         self.address = f"{self.host}:{self.port}"
@@ -103,7 +103,7 @@ class ServeClient:
         a retried ``wait`` can leave duplicate/stale result frames in
         the stream, and they must never satisfy a later exchange.
         """
-        from repro.bus.socketbus import recv_message, send_message
+        from repro.bus.wire import recv_message, send_message
 
         def _attempt() -> dict:
             with self._lock:

@@ -2,8 +2,8 @@
 
 A *drill* is one end-to-end proof of the robustness contract: arm a
 :class:`~repro.faults.FaultPlan`, run the Fig. 7 smoke grid through the
-real topology the plan targets (worker subprocesses over a spool, a TCP
-worker against a :class:`~repro.bus.SocketBus`, or the in-process store
+real topology the plan targets (worker subprocesses over a spool, a
+``repro serve`` process with its worker fleet, or the in-process store
 path), and assert that the resulting records and rendered table are
 **bit-identical** to a clean serial run.  Faults that were injected but
 recovered from must be invisible in the science; only the recovery
@@ -34,8 +34,8 @@ from repro.faults.plan import (
 
 __all__ = ["DRILL_TOPOLOGY", "DrillOutcome", "run_chaos"]
 
-#: Which execution topology exercises each named plan.  ``spool`` and
-#: ``socket`` drills run real worker subprocesses (the plan travels via
+#: Which execution topology exercises each named plan.  ``spool`` drills
+#: run real worker subprocesses (the plan travels via
 #: ``REPRO_FAULT_PLAN``); ``local`` drills arm the plan in-process and
 #: exercise the store write/read path; the ``serve`` drill runs a real
 #: ``repro serve`` process (pipelined workers + remote store) and gates
@@ -45,7 +45,6 @@ DRILL_TOPOLOGY: dict[str, str] = {
     "heartbeat-stall": "spool",
     "lease-race": "spool",
     "all-workers-die": "spool",
-    "socket-flaky": "socket",
     "serve-flaky": "serve",
     "torn-store": "local",
     "enospc": "local",
@@ -141,21 +140,6 @@ def _spawn_spool_worker(
             "--store", str(store_root),
             "--poll", "0.1",
             "--stale-after", str(_DRILL_STALE),
-            "--idle-timeout", "60",
-        ],
-        env=_worker_env(plan),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-
-
-def _spawn_socket_worker(address: str, plan: FaultPlan | None) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--bus-addr", address,
-            "--poll", "0.1",
             "--idle-timeout", "60",
         ],
         env=_worker_env(plan),
@@ -295,31 +279,6 @@ def _drill_spool(
         )
 
 
-def _drill_socket(
-    plan: FaultPlan, reference: _Reference, outcome: DrillOutcome, workdir: Path
-) -> None:
-    from repro.bus import SocketBus
-    from repro.experiments.runner import ExperimentRunner
-
-    bus = SocketBus(poll=0.1, timeout=240)
-    worker = _spawn_socket_worker(bus.address, plan)
-    runner = ExperimentRunner(jobs=0, store=workdir / "store", bus=bus)
-    try:
-        records = runner.run(reference.cells)
-    finally:
-        outputs = [_reap_worker(worker)]
-        runner.close()
-    _count_fired(outputs, outcome.injected)
-    outcome.requeues = bus.stats.requeues
-    outcome.failed_over = bus.stats.failed_over
-    _check_parity(outcome, reference, records)
-    _require(
-        outcome,
-        outcome.requeues >= 1,
-        "no job was requeued — the dropped frame never happened",
-    )
-
-
 def _drill_local(
     plan: FaultPlan, reference: _Reference, outcome: DrillOutcome, workdir: Path
 ) -> None:
@@ -394,14 +353,18 @@ _SERVE_READY = re.compile(r"serve: listening on (\S+) ")
 def _drill_serve(
     plan: FaultPlan, reference: _Reference, outcome: DrillOutcome, workdir: Path
 ) -> None:
-    """Attack-as-a-service drill: drop accepted connections, time out reads.
+    """Attack-as-a-service drill: refuse, drop and hang up connections.
 
     A real ``repro serve`` process (two pipelined workers, on-disk store)
     runs under the plan — ``serve.accept_drop`` fires in its listener as
-    workers and clients connect, and every party must reconnect-and-retry
-    through it.  The drill process arms the same plan locally so
-    ``remote_store.read_timeout`` bites the :class:`RemoteStore` fetch of
-    the finished artifacts.  No figure table is rendered at the job
+    workers and clients connect, ``socket.connect_refused`` in the
+    workers' connects, and every party must reconnect-and-retry through
+    them.  ``socket.frame_eof`` makes each worker hang up on its first
+    job frame, so the server must requeue a connection's in-flight
+    window to a live worker.  The drill process arms the same plan
+    locally so ``remote_store.read_timeout`` bites the
+    :class:`RemoteStore` fetch of the finished artifacts.  No figure
+    table is rendered at the job
     level, so parity gates on the artifact payloads themselves: every
     served artifact must be bit-identical (timing aside) to a clean
     in-process :func:`execute_job` run of the same jobs.
@@ -511,11 +474,16 @@ def _drill_serve(
         outcome.injected.get("remote_store.read_timeout", 0) >= 1,
         "no remote-store read ever timed out — the fault did not bite",
     )
+    _require(
+        outcome,
+        outcome.injected.get("socket.frame_eof", 0) >= 1
+        and outcome.requeues >= 1,
+        "no worker hung up holding a job — frame_eof did not bite",
+    )
 
 
 _DRILL_RUNNERS = {
     "spool": _drill_spool,
-    "socket": _drill_socket,
     "serve": _drill_serve,
     "local": _drill_local,
 }

@@ -1,7 +1,7 @@
 """Seeded, deterministic fault injection for the bus/store/worker stack.
 
 A :class:`FaultPlan` arms a set of named **sites** — fixed points in the
-production code (``repro.store.codec``, the spool, the socket worker)
+production code (``repro.store.codec``, the spool, the serve worker)
 that consult :func:`fire` on every pass.  When no plan is active the
 check is a dict lookup against an empty map: the production hot path
 pays nothing.  When a plan *is* active, each armed site fires a bounded,
@@ -59,9 +59,8 @@ FAULT_SITES = {
     ),
     "store.write_enospc": "codec dump raises ENOSPC before writing a byte",
     "store.read_corrupt": "codec load reports an existing file as corrupt",
-    "socket.connect_refused": "worker connect() to the bus is refused",
-    "socket.read_timeout": "worker bus read raises a timeout",
-    "socket.frame_eof": "worker drops its connection mid-protocol (EOF)",
+    "socket.connect_refused": "worker connect() to the server is refused",
+    "socket.frame_eof": "worker drops its connection holding a job (EOF)",
     "spool.lease_race": "lease() loses the pending->leased rename race",
     "spool.heartbeat_stall": "the lease heartbeat thread stops beating",
     "worker.crash_after_n": "worker os._exit(137)s mid-job (SIGKILL-alike)",
@@ -76,7 +75,6 @@ FAULT_SITES = {
 #: process topology each drill needs lives in ``repro.faults.chaos``).
 NAMED_PLANS = (
     "worker-crash",
-    "socket-flaky",
     "torn-store",
     "enospc",
     "heartbeat-stall",
@@ -305,12 +303,6 @@ def named_fault_plan(name: str, seed: int = 0) -> FaultPlan:
         # EVERY worker dies on its first job: only the coordinator's
         # liveness fail-over can finish the grid.
         sites = (FaultSite("worker.crash_after_n", times=-1),)
-    elif name == "socket-flaky":
-        sites = (
-            FaultSite("socket.connect_refused", times=2),
-            FaultSite("socket.read_timeout", times=1),
-            FaultSite("socket.frame_eof", times=1),
-        )
     elif name == "torn-store":
         sites = (
             FaultSite("store.write_torn", times=1),
@@ -331,11 +323,17 @@ def named_fault_plan(name: str, seed: int = 0) -> FaultPlan:
         sites = (FaultSite("spool.lease_race", times=2),)
     elif name == "serve-flaky":
         # The serve front-end drops fresh connections (workers and
-        # clients alike must reconnect on their retry schedule) and one
-        # RemoteStore round-trip times out mid-read; the drill gates on
-        # served predictions staying bit-identical to serial.
+        # clients alike must reconnect on their retry schedule), each
+        # worker's first connect() is refused twice, each worker hangs
+        # up on its first job frame (the server requeues its in-flight
+        # window), and one RemoteStore round-trip times out mid-read;
+        # the drill gates on served predictions staying bit-identical
+        # to serial.  Two workers drop at most two attempts of one job,
+        # inside the default budget of three.
         sites = (
             FaultSite("serve.accept_drop", times=2),
+            FaultSite("socket.connect_refused", times=2),
+            FaultSite("socket.frame_eof", times=1),
             FaultSite("remote_store.read_timeout", times=1),
         )
     else:

@@ -242,7 +242,7 @@ class BatchAssembler:
             self._flat_features[a:b] = example.features
         self._feature_cols = self._detect_onehot_columns()
         # Per-example batched-ELL blocks, built on first use under the
-        # ell/numba spmm backends (see _ensure_ell_blocks).
+        # ell spmm backend (see _ensure_ell_blocks).
         self._ell_blocks: list[BlockEll] | None = None
         self._ell_t_blocks: list[BlockEll] | None = None
         self._scratch = Workspace()
@@ -274,7 +274,7 @@ class BatchAssembler:
     def _ensure_ell_blocks(self) -> None:
         """Build every example's ELL (and transposed-ELL) block once.
 
-        Only the ell/numba backends need the layout; under the scipy
+        Only the ell backend needs the layout; under the scipy
         backend the assembler never pays for it.  Once built, any shuffled
         batch's ELL operator is stitched from these blocks by pure array
         copies — the layout cost is once per split, like the CSR parts.
@@ -368,7 +368,7 @@ class BatchAssembler:
         indptr[1:] += np.repeat(nnz_offsets[:-1], sizes)
         norm_adj = csr_from_parts(data, indices, indptr, (total, total))
         operator = SparseOp(data, indices, indptr, (total, total), csr=norm_adj)
-        if spmm_backend() in ("ell", "numba"):
+        if spmm_backend() == "ell":
             self._ensure_ell_blocks()
             operator._ell = self._stitch_ell(
                 self._ell_blocks, index_order, offsets, total
@@ -427,7 +427,7 @@ class BatchCache:
             for start in range(0, len(examples), batch_size)
         ]
         # Prebuild whatever layout the active spmm backend wants (ELL under
-        # ell/numba) so repeated evaluation/scoring epochs touch no
+        # ell) so repeated evaluation/scoring epochs touch no
         # conversions at all — once per split, like the batches themselves.
         for batch in self.batches:
             batch.operator.prepare()

@@ -8,9 +8,8 @@ under :func:`no_grad` to skip tape recording entirely.
 Sparse kernel policy: the graph convolutions run on the block-sparse
 engine in :mod:`repro.nn.sparse`; ``REPRO_SPMM`` (or
 :func:`set_spmm_backend` / :func:`spmm_scope`) selects the kernel family —
-``scipy`` (default), ``ell`` (batched-ELL numpy) or ``numba`` (JIT, falls
-back to ``ell`` when numba is missing).  All backends are bit-identical
-in float64.
+``scipy`` (default) or ``ell`` (batched-ELL numpy, the parity
+reference).  Both backends are bit-identical in float64.
 """
 
 from repro.nn.curvature import CurvatureCollector, collecting, record, tap_active
@@ -38,7 +37,6 @@ from repro.nn.sparse import (
     SparseOp,
     as_sparse_op,
     csr_from_parts,
-    numba_available,
     set_spmm_backend,
     spmm_backend,
     spmm_scope,
@@ -83,7 +81,6 @@ __all__ = [
     "SparseOp",
     "as_sparse_op",
     "csr_from_parts",
-    "numba_available",
     "spmm_backend",
     "set_spmm_backend",
     "spmm_scope",

@@ -14,10 +14,9 @@ module owns that product.  It provides
 * :class:`BlockEll` — a batched-ELL layout: the many small,
   similar-degree per-example blocks of a batch operator are packed into
   two padded row-major ``(n_rows, width)`` arrays (column indices and
-  values, padded with index 0 / value 0).  The regular layout is what a
-  JIT row-parallel kernel wants; it is also how the per-example blocks of
-  a :class:`~repro.gnn.BatchAssembler` stitch into a shuffled batch by
-  pure array copies.
+  values, padded with index 0 / value 0).  The regular layout is how the
+  per-example blocks of a :class:`~repro.gnn.BatchAssembler` stitch into
+  a shuffled batch by pure array copies.
 * a **kernel registry** selected by ``REPRO_SPMM`` (or
   :func:`set_spmm_backend` / :func:`spmm_scope`):
 
@@ -28,11 +27,7 @@ module owns that product.  It provides
     ``A^T``), so no transpose is ever materialized.
   - ``ell`` — the batched-ELL layout with a vectorized numpy core.  Pure
     numpy, no private-API use; slower than the C kernel at the paper's
-    feature widths, it exists as the portable reference and as the layout
-    the JIT path consumes.
-  - ``numba`` — the batched-ELL layout compiled with numba (row-parallel
-    ``prange``).  Falls back to ``ell`` with a warning when numba is not
-    installed.
+    feature widths, it exists as the portable parity reference.
 
 Every kernel accumulates each output row in the operator's storage order,
 so all backends produce **bit-identical** results in float64 (and, on
@@ -43,7 +38,6 @@ every platform tested, in float32 as well); the parity suite in
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -66,20 +60,9 @@ __all__ = [
     "spmm_backend",
     "set_spmm_backend",
     "spmm_scope",
-    "numba_available",
 ]
 
-_BACKENDS = ("scipy", "ell", "numba")
-
-
-def numba_available() -> bool:
-    """Whether the numba JIT backend can actually run."""
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
+_BACKENDS = ("scipy", "ell")
 
 
 def _resolve_backend(name: str) -> str:
@@ -88,14 +71,6 @@ def _resolve_backend(name: str) -> str:
         raise ValueError(
             f"unsupported spmm backend {name!r}; choose from {_BACKENDS}"
         )
-    if name == "numba" and not numba_available():
-        warnings.warn(
-            "REPRO_SPMM=numba requested but numba is not installed; "
-            "falling back to the numpy batched-ELL backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "ell"
     return name
 
 
@@ -103,7 +78,7 @@ _active_backend: str = _resolve_backend(os.environ.get("REPRO_SPMM", "scipy"))
 
 
 def spmm_backend() -> str:
-    """The active spmm kernel family (``scipy`` / ``ell`` / ``numba``)."""
+    """The active spmm kernel family (``scipy`` / ``ell``)."""
     return _active_backend
 
 
@@ -192,14 +167,11 @@ class BlockEll:
         return cls(indices, values, matrix.shape)
 
     def matmul(self, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A @ dense`` through the active ELL kernel (numpy or numba)."""
+        """``A @ dense`` through the numpy ELL kernel."""
         if out is None:
             out = np.empty((self.shape[0], dense.shape[1]), dtype=dense.dtype)
         if self.width == 0:
             out[...] = 0.0
-            return out
-        if _active_backend == "numba":
-            _numba_ell_matmul()(self.indices, self.values, dense, out)
             return out
         # Tap-by-tap accumulation reproduces the CSR kernel's per-row
         # left-to-right summation order exactly — bit-identical results in
@@ -212,32 +184,6 @@ class BlockEll:
         for tap in range(1, self.width):
             out += values[:, tap, None] * dense[self.indices[:, tap]]
         return out
-
-
-_NUMBA_KERNEL = None
-
-
-def _numba_ell_matmul():
-    """Compile (once) and return the row-parallel numba ELL kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        import numba
-
-        @numba.njit(parallel=True, fastmath=False, cache=False)
-        def ell_matmul(indices, values, dense, out):  # pragma: no cover - JIT
-            n_rows, width = indices.shape
-            n_cols = dense.shape[1]
-            for i in numba.prange(n_rows):
-                for c in range(n_cols):
-                    out[i, c] = 0.0
-                for j in range(width):
-                    v = values[i, j]
-                    k = indices[i, j]
-                    for c in range(n_cols):
-                        out[i, c] += v * dense[k, c]
-
-        _NUMBA_KERNEL = ell_matmul
-    return _NUMBA_KERNEL
 
 
 # ------------------------------------------------------------- the operator
@@ -322,7 +268,7 @@ class SparseOp:
         a conversion.  Returns ``self`` for chaining.
         """
         backend = backend or _active_backend
-        if backend in ("ell", "numba"):
+        if backend == "ell":
             self.ell
             self.ell_t
         return self

@@ -1,8 +1,8 @@
 """``repro serve`` — the long-running attack-as-a-service front end.
 
-One selector loop (reusing the :class:`repro.bus.socketbus._Server`
-plumbing and the length-prefixed codec frames of the job bus) owns three
-kinds of peers on a single listening port:
+One selector loop (reusing the :class:`repro.bus.wire._Server` plumbing
+and its length-prefixed codec frames) owns three kinds of peers on a
+single listening port:
 
 * **clients** (:class:`repro.client.ServeClient`) submit content-keyed
   requests: ``{op: submit, key, job, wait}`` where *key* is exactly the
@@ -14,8 +14,8 @@ kinds of peers on a single listening port:
   ``{op: hello, role: worker, pipeline: N}`` and then receive **pushed**
   ``{op: job, ...}`` frames, up to *pipeline* in flight per connection —
   the worker executes serially, but the next job is already buffered in
-  its socket when the current one finishes, so the lease round-trip of
-  the per-job :class:`~repro.bus.socketbus.SocketBus` disappears.
+  its socket when the current one finishes, so no per-job lease
+  round-trip remains.
 * **remote stores** (:class:`repro.store.remote.RemoteStore`) read and
   write raw artifact blobs (``store-get`` / ``store-put`` /
   ``store-has``) against the server's on-disk
@@ -31,6 +31,10 @@ connection requeues its whole in-flight window, and a worker fleet
 silent for longer than the liveness deadline fails queued jobs over to
 in-process execution (one at a time, on a helper thread) instead of
 hanging clients forever.
+
+``repro figures --bus socket`` embeds this same server in the
+coordinator (:class:`repro.serve.bus.ServeBus`) and is one more client
+of it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-from repro import faults
 from repro.bus.protocol import (
     DEFAULT_LIVENESS,
     DEFAULT_MAX_ATTEMPTS,
@@ -52,7 +55,7 @@ from repro.bus.protocol import (
     decode_job,
     job_artifact_kind,
 )
-from repro.bus.socketbus import _Connection, _Server
+from repro.bus.wire import _Connection, _Server
 from repro.errors import ReproError
 from repro.store import ArtifactStore, resolve_store
 
@@ -116,13 +119,6 @@ class ServeStats:
         return text
 
 
-class _ServeListener(_Server):
-    """The serve socket front end: accepts honor ``serve.accept_drop``."""
-
-    def _accepted(self, sock) -> bool:
-        return faults.fire("serve.accept_drop") is None
-
-
 @dataclass
 class _Request:
     """One unique in-flight key and everyone waiting on it."""
@@ -165,9 +161,7 @@ class AttackServer:
             )
         self.store = resolved
         self.retry = retry if retry is not None else RetryPolicy.from_env()
-        self._server = _ServeListener(
-            address, read_timeout=self.retry.read_timeout
-        )
+        self._server = _Server(address, read_timeout=self.retry.read_timeout)
         self.address = self._server.address
         self.poll = float(poll)
         self.max_attempts = int(
@@ -184,7 +178,11 @@ class AttackServer:
         self._inbox: deque = deque()  # fail-over thread -> loop
         self._inbox_lock = threading.Lock()
         self._failover_busy = False
+        self._degraded = False  # fail-over engaged; a worker hello clears it
         self._stop = False
+        #: Monotonic time the fleet last made progress (or had nothing
+        #: queued); the liveness fail-over and embedders' timeouts read it.
+        self.last_progress = time.monotonic()
 
     # -- the loop ------------------------------------------------------------
     def serve_forever(
@@ -199,8 +197,7 @@ class AttackServer:
         many submits have been taken **and** all of them settled — both
         are test/bench conveniences, the daemon deployment uses neither.
         """
-        last_activity = time.monotonic()
-        last_progress = last_activity
+        last_activity = self.last_progress = time.monotonic()
         try:
             while not self._stop:
                 events = self._server.poll(self.poll)
@@ -217,15 +214,15 @@ class AttackServer:
                     link.inflight for link in self.workers.values()
                 )
                 if events or busy:
-                    last_activity = last_progress = now
+                    last_activity = self.last_progress = now
                 elif self.queue:
-                    if (
-                        self.liveness is not None
-                        and now - last_progress > self.liveness
+                    if self.liveness is not None and (
+                        self._degraded
+                        or now - self.last_progress > self.liveness
                     ):
                         self._start_failover()
                 else:
-                    last_progress = now
+                    self.last_progress = now
                 if (
                     max_requests is not None
                     and self.stats.requests >= max_requests
@@ -242,6 +239,10 @@ class AttackServer:
             pass
         return self.stats
 
+    def stop(self) -> None:
+        """Ask :meth:`serve_forever` to return after its current cycle."""
+        self._stop = True
+
     def close(self) -> None:
         self._server.close()
 
@@ -255,6 +256,7 @@ class AttackServer:
         elif op == "hello":
             pipeline = max(1, int(message.get("pipeline", DEFAULT_PIPELINE)))
             self.workers[connection] = _WorkerLink(pipeline=pipeline)
+            self._degraded = False
             self.log(
                 f"serve: worker connected (pipeline {pipeline}, "
                 f"{len(self.workers)} total)"
@@ -532,8 +534,10 @@ class AttackServer:
 
         One queued key at a time executes on a helper thread (so the
         loop keeps answering pings, submits and store ops) and settles
-        through the inbox.  A worker fleet coming back mid-fail-over
-        simply picks up the rest of the queue.
+        through the inbox.  Once degraded, the next queued key follows
+        without another liveness wait, until a worker says hello; a
+        fleet coming back mid-fail-over simply picks up the rest of the
+        queue.
         """
         if self._failover_busy or not self.queue:
             return
@@ -543,6 +547,7 @@ class AttackServer:
             return
         request.failing_over = True
         self._failover_busy = True
+        self._degraded = True
         self.stats.failed_over += 1
         self.log(
             f"serve: no worker progress for {self.liveness:.0f}s — "

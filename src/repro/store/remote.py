@@ -53,7 +53,7 @@ class RemoteStore:
         retry: RetryPolicy | None = None,
         cache_bytes: int | None = None,
     ) -> None:
-        from repro.bus.socketbus import parse_address
+        from repro.bus.wire import parse_address
 
         self.host, self.port = parse_address(address)
         self.root = f"remote://{self.host}:{self.port}"
@@ -95,7 +95,7 @@ class RemoteStore:
 
     def _round_trip(self, payload: dict, expect: str) -> dict:
         """One request/reply exchange, reconnect-and-retried on OSError."""
-        from repro.bus.socketbus import recv_message, send_message
+        from repro.bus.wire import recv_message, send_message
 
         def _attempt() -> dict:
             with self._lock:

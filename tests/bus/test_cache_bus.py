@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.bus import BusError, SpoolDir, encode_job
-from repro.bus.socketbus import parse_address
+from repro.bus.wire import parse_address
 from repro.cli import main
 from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob
@@ -104,3 +104,21 @@ def test_parse_address():
     assert parse_address("example.com:1") == ("example.com", 1)
     with pytest.raises(BusError, match="malformed"):
         parse_address("no-port-here")
+    with pytest.raises(BusError, match="0-65535"):
+        parse_address("127.0.0.1:99999")
+    with pytest.raises(BusError, match="0-65535"):
+        parse_address("65536")
+    assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--addr", "nonsense"],
+        ["serve", "--addr", "127.0.0.1:99999"],
+        ["worker", "--serve-addr", "127.0.0.1:99999", "--idle-timeout", "1"],
+    ],
+)
+def test_malformed_addresses_exit_2(tmp_path, capsys, argv):
+    assert main([*argv, "--store", str(tmp_path / "store")]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -7,19 +7,21 @@ in-process and the figure run completes instead of hanging.  The
 one (it degrades).
 """
 
+import time
+
 import pytest
 
 from repro.benchgen import load_benchmark
 from repro.bus import (
     BusError,
     BusStats,
-    SocketBus,
     SpoolBus,
     SpoolDir,
 )
 from repro.experiments import SMOKE_SCALE, fig7_cells, record_fingerprint
 from repro.experiments.common import lock_with
 from repro.experiments.runner import AttackJob, ExperimentRunner
+from repro.serve import ServeBus
 from repro.store import (
     ArtifactStore,
     attack_store_key,
@@ -63,18 +65,56 @@ def test_spool_bus_fails_over_when_no_worker_ever_appears(tmp_path, capsys):
     )
 
 
-def test_socket_bus_fails_over_when_no_worker_ever_connects(capsys):
+def test_socket_bus_fails_over_when_no_worker_ever_connects():
     job = _one_job()
-    bus = SocketBus(poll=0.05, timeout=60, liveness=0.4)
+    bus = ServeBus(poll=0.05, timeout=60, liveness=0.4)
     try:
         results = list(bus.run([job]))
     finally:
         bus.close()
     assert len(results) == 1
-    assert results[0][2] is False
+    got_job, payload, persisted = results[0]
+    assert got_job is job
+    assert payload is not None
+    assert persisted is False  # no runner store: the bus's temporary one
     assert bus.stats.failed_over == 1
     assert bus.stats.completed == 1
-    assert "failing 1 job(s) over" in capsys.readouterr().out
+    assert "failed-over=1" in bus.stats.summary()
+
+
+def test_socket_bus_fails_every_job_over_after_one_deadline():
+    # Once the fleet is presumed dead, the rest of the queue follows
+    # without waiting out a fresh liveness deadline per job.
+    cells = fig7_cells(SMOKE_SCALE, seed=0)
+    jobs = []
+    for cell in cells[:2]:
+        base = load_benchmark(cell.benchmark, scale=cell.circuit_scale)
+        locked = lock_with(
+            cell.scheme, base, key_size=cell.key_size, seed=cell.lock_seed
+        )
+        jobs.append(
+            AttackJob(
+                store_key=attack_store_key(
+                    circuit_digest(locked.circuit), cell.config
+                ),
+                circuit=encode_circuit(locked.circuit),
+                config=cell.config,
+            )
+        )
+    assert len({job.store_key for job in jobs}) == 2
+    liveness = 2.0
+    # A poll far shorter than one job lets the loop see the fail-over
+    # thread busy, as it always does with real-sized jobs.
+    bus = ServeBus(poll=0.001, timeout=60, liveness=liveness)
+    try:
+        started = time.monotonic()
+        results = list(bus.run(jobs))
+        elapsed = time.monotonic() - started
+    finally:
+        bus.close()
+    assert len(results) == 2
+    assert bus.stats.failed_over == 2
+    assert elapsed < 2 * liveness
 
 
 def test_timeout_still_raises_before_liveness_when_smaller(tmp_path):
@@ -120,9 +160,10 @@ def test_liveness_zero_disables_failover(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     bus = SpoolBus(tmp_path / "spool", store, liveness=0)
     assert bus.liveness is None
-    bus = SocketBus(liveness=0)
+    bus = ServeBus(liveness=0)
     try:
         assert bus.liveness is None
+        assert bus.server.liveness is None
     finally:
         bus.close()
 

@@ -4,7 +4,8 @@ The acceptance contract of the job bus: ``repro figures --figures
 7 8 9 10 --scale smoke`` produces byte-identical figure tables whether
 the attack jobs execute serially in the coordinator (``--bus local``),
 in two independent ``repro worker`` processes draining a spool directory
-(``--bus spool``), or in two workers connected over TCP
+(``--bus spool``), or in two ``repro worker --serve-addr`` processes
+connected over TCP to the server the coordinator embeds
 (``--bus socket``).  Wall-clock columns are masked — a distributed run
 measures its own runtimes — but every computed value must match.
 """
@@ -14,8 +15,10 @@ import re
 import socket as socketlib
 import subprocess
 import sys
+import threading
 
 import repro
+from repro.bus import run_worker
 from repro.experiments import (
     SMOKE_SCALE,
     ExperimentRunner,
@@ -109,9 +112,9 @@ def test_figure_tables_bit_identical_across_buses(tmp_path):
     assert _tables(spool) == reference
     assert "bus[spool]" in spool
 
-    # --- socket: two workers over TCP, no shared spool ------------------
+    # --- socket: two serve-mode workers over TCP, no shared spool -------
     addr = f"127.0.0.1:{_free_port()}"
-    workers = [_start_worker(["--bus-addr", addr]) for _ in range(2)]
+    workers = [_start_worker(["--serve-addr", addr]) for _ in range(2)]
     try:
         sock = _figures_cli(
             [
@@ -129,6 +132,43 @@ def test_figure_tables_bit_identical_across_buses(tmp_path):
             worker.wait(timeout=30)
     assert _tables(sock) == reference
     assert "bus[socket]" in sock
+
+
+def test_socket_bus_without_store_uses_a_temporary_store(monkeypatch):
+    """With no runner store, ``--bus socket`` runs its server on a
+    private temporary store: results arrive unpersisted, match serial,
+    and the directory is gone once the bus closes."""
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    cells = fig7_cells(SMOKE_SCALE, seed=0)
+    reference = [
+        record_fingerprint(r) for r in ExperimentRunner(jobs=0).run(cells)
+    ]
+    runner = ExperimentRunner(jobs=0, bus="socket", liveness=0)
+    assert runner.store is None
+    bus = runner.bus
+    temporary = bus.server.store.root
+    assert bus.persisted is False and temporary.is_dir()
+    worker = threading.Thread(
+        target=run_worker,
+        kwargs=dict(
+            serve_addr=bus.address,
+            poll=0.05,
+            idle_timeout=2.0,
+            log=lambda *a: None,
+        ),
+        daemon=True,
+    )
+    worker.start()
+    try:
+        records = runner.run(cells)
+    finally:
+        runner.close()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert [record_fingerprint(r) for r in records] == reference
+    assert bus.stats.completed == bus.stats.submitted > 0
+    assert bus.stats.failed_over == 0  # liveness=0: the worker did it all
+    assert not temporary.exists()
 
 
 def test_warm_store_yields_zero_releases(tmp_path):

@@ -8,8 +8,8 @@ The robustness contract of the distributed buses:
 * a deterministically crashing job burns its attempt budget and lands in
   quarantine with the traceback persisted; the coordinator surfaces that
   traceback instead of looping forever;
-* a socket worker that drops its connection mid-job has the job requeued
-  and completed by a healthy worker.
+* a worker that drops its socket-bus connection mid-job has the job
+  requeued and completed by a healthy worker.
 """
 
 import os
@@ -25,8 +25,8 @@ import pytest
 
 import repro
 from repro.benchgen import load_benchmark
-from repro.bus import BusError, SocketBus, SpoolBus, SpoolDir, run_worker
-from repro.bus.socketbus import recv_message, send_message
+from repro.bus import BusError, SpoolBus, SpoolDir, run_worker
+from repro.bus.wire import parse_address, recv_message, send_message
 from repro.bus.worker import TEST_DELAY_ENV
 from repro.experiments import (
     SMOKE_SCALE,
@@ -38,6 +38,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import lock_with
 from repro.experiments.runner import AttackJob
+from repro.serve import ServeBus
 from repro.store import (
     ArtifactStore,
     attack_store_key,
@@ -200,21 +201,21 @@ def test_poisoned_job_quarantines_with_persisted_traceback(tmp_path):
 
 
 def test_socket_poisoned_job_quarantines_with_traceback():
-    """Socket-mode twin of the spool poisoned-job test: a job that
-    deterministically crashes must burn its attempt budget — the server
-    reads the attempt off the connection before clearing it — and raise
-    the last shipped worker traceback, not requeue at attempt 0 forever."""
+    """Socket-bus twin of the spool poisoned-job test: a job that
+    deterministically crashes must burn its attempt budget on the
+    embedded server and raise the last shipped worker traceback, not
+    requeue forever."""
     cell = fig7_cells(SMOKE_SCALE, seed=0)[0]
     poisoned = AttackJob(
         store_key="f" * 16,
         circuit={"not": "a circuit"},  # decode_circuit will raise
         config=cell.config,
     )
-    bus = SocketBus(poll=0.05, max_attempts=2, timeout=60)
+    bus = ServeBus(poll=0.05, max_attempts=2, timeout=60)
     worker = threading.Thread(
         target=run_worker,
         kwargs=dict(
-            bus_addr=bus.address,
+            serve_addr=bus.address,
             poll=0.05,
             idle_timeout=5.0,
             log=lambda *a: None,
@@ -236,27 +237,30 @@ def test_socket_poisoned_job_quarantines_with_traceback():
 
 
 def test_socket_connection_drop_requeues_to_healthy_worker(tmp_path):
-    """A socket worker that vanishes mid-job (connection EOF) has its job
+    """A worker that vanishes holding a job (connection EOF) has its job
     requeued; a healthy worker completes it and results match serial."""
     cells = fig7_cells(SMOKE_SCALE, seed=0)[:1]
     reference = [
         record_fingerprint(r) for r in ExperimentRunner(jobs=0).run(cells)
     ]
 
-    bus = SocketBus(poll=0.1, max_attempts=3, timeout=60)
-    host, port = bus.address.rsplit(":", 1)
+    bus = ServeBus(poll=0.1, max_attempts=3, timeout=60)
+    host, port = parse_address(bus.address)
 
     def flaky_then_healthy():
-        # Flaky worker: lease a job, then hang up without finishing it.
+        # Flaky worker: take one job frame, then hang up without
+        # finishing it.
         import socket as socketlib
 
-        with socketlib.create_connection((host, int(port))) as conn:
-            send_message(conn, {"op": "lease"})
+        with socketlib.create_connection((host, port)) as conn:
+            send_message(
+                conn, {"op": "hello", "role": "worker", "pipeline": 1}
+            )
             message = recv_message(conn)
             assert message["op"] == "job"
         # Healthy worker: runs the real loop until the job is done.
         run_worker(
-            bus_addr=bus.address,
+            serve_addr=bus.address,
             poll=0.05,
             idle_timeout=20.0,
             max_jobs=1,

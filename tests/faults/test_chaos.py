@@ -9,7 +9,7 @@ from repro.faults.chaos import DRILL_TOPOLOGY, DrillOutcome, run_chaos
 
 def test_every_named_plan_has_a_drill_topology():
     assert set(DRILL_TOPOLOGY) == set(NAMED_PLANS)
-    assert set(DRILL_TOPOLOGY.values()) <= {"spool", "socket", "serve", "local"}
+    assert set(DRILL_TOPOLOGY.values()) <= {"spool", "serve", "local"}
     assert DRILL_TOPOLOGY["serve-flaky"] == "serve"
 
 

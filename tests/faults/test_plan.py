@@ -69,6 +69,16 @@ def test_every_named_plan_builds_and_round_trips():
         named_fault_plan("does-not-exist")
 
 
+def test_every_fault_site_is_armed_by_a_named_plan():
+    # A site no drill arms is dead code; delete it or drill it.
+    armed = {
+        spec.site
+        for name in NAMED_PLANS
+        for spec in named_fault_plan(name).sites
+    }
+    assert armed == set(FAULT_SITES)
+
+
 def test_fire_returns_none_without_a_plan():
     faults.deactivate()
     assert faults.fire("spool.lease_race") is None

@@ -1,8 +1,8 @@
 """Parity and gradient tests for the block-sparse spmm engine.
 
-Every backend (``scipy``, ``ell``, and ``numba`` when installed) must be
-**bit-identical** to the plain scipy composition in float64; in float32
-the kernels are order-exact by construction, and the documented guarantee
+Every backend (``scipy`` and ``ell``) must be **bit-identical** to the
+plain scipy composition in float64; in float32 the kernels are
+order-exact by construction, and the documented guarantee
 is agreement within ``rtol=1e-6`` (in practice the parity is bitwise
 there too).  Fixtures cover the block shapes the batcher produces: empty
 graphs, isolated nodes, degree-skewed stars and random batches.
@@ -26,7 +26,6 @@ from repro.nn import (
     dtype_scope,
     gather_stack,
     graph_conv,
-    numba_available,
     set_spmm_backend,
     spmm_backend,
     spmm_scope,
@@ -34,7 +33,7 @@ from repro.nn import (
 )
 from repro.nn.tensor import concat
 
-BACKENDS = ["scipy", "ell"] + (["numba"] if numba_available() else [])
+BACKENDS = ["scipy", "ell"]
 
 
 def _example(rng, n, kind="random"):
@@ -176,7 +175,7 @@ def test_graph_batch_operator_cached_and_preseeded():
     assert "operator" in assembled.__dict__  # pre-seeded, not rebuilt
 
 
-@pytest.mark.parametrize("backend", ["ell"] + (["numba"] if numba_available() else []))
+@pytest.mark.parametrize("backend", ["ell"])
 def test_assembler_stitched_ell_matches_from_csr(backend):
     """Per-example ELL blocks stitched once per split == per-batch build."""
     rng = np.random.default_rng(7)
@@ -217,13 +216,6 @@ def test_backend_selection_and_scope():
     assert spmm_backend() == previous
     with pytest.raises(ValueError):
         set_spmm_backend("cusparse")
-
-
-@pytest.mark.skipif(numba_available(), reason="numba installed; no fallback")
-def test_numba_fallback_warns():
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        with spmm_scope("numba"):
-            assert spmm_backend() == "ell"
 
 
 # ---------------------------------------------------------------- gradients

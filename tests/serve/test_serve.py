@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.bus.socketbus import parse_address, recv_message, send_message
+from repro.bus.wire import parse_address, recv_message, send_message
 from repro.client import ServeClient
 from repro.experiments import SMOKE_SCALE, make_cell
 from repro.experiments.runner import AttackJob, execute_job
