@@ -69,6 +69,11 @@ class WorkerStats:
     skipped: int = 0  # artifact already in the store; no recompute
     failed: int = 0
 
+    @property
+    def handled(self) -> int:
+        """Jobs this worker is done with, whatever the outcome."""
+        return self.executed + self.skipped + self.failed
+
     def summary(self) -> str:
         return (
             f"executed={self.executed} skipped={self.skipped} "
@@ -153,7 +158,8 @@ def run_worker(
     *serve_addr* (persistent pipelined connection to a ``repro serve``
     front end) must be given.  ``idle_timeout=None``
     runs forever (the daemon deployment); *max_jobs* bounds how many
-    jobs this process executes (useful in tests and crash drills).
+    jobs this process handles — executed, adopted from the store or
+    failed (useful in tests and crash drills).
 
     *blas_threads* caps the OpenBLAS pool for this process (default 1,
     ``REPRO_BLAS_THREADS`` to override, 0 to leave BLAS alone): the
@@ -274,7 +280,7 @@ def _run_spool_worker(
                     )
                 if (
                     max_jobs is not None
-                    and stats.executed + stats.skipped >= max_jobs
+                    and stats.handled >= max_jobs
                 ):
                     done = True
                     break
@@ -440,7 +446,7 @@ def _run_serve_worker(
                 conn = None  # server requeues its in-flight window
             if (
                 max_jobs is not None
-                and stats.executed + stats.skipped >= max_jobs
+                and stats.handled >= max_jobs
             ):
                 break
     finally:

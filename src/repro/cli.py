@@ -109,6 +109,36 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         return 2
     from repro.experiments.common import resolve_worker_count
 
+    try:
+        # Out-of-range knobs fail here, before any netlist is read.
+        config = MuxLinkConfig(
+            h=args.h,
+            threshold=args.threshold,
+            train=TrainConfig(
+                epochs=args.epochs,
+                learning_rate=args.learning_rate,
+                seed=args.seed,
+                patience=args.patience,
+                lr_decay=args.lr_decay,
+                lr_decay_every=args.lr_decay_every,
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=args.checkpoint_every,
+                resume=args.resume,
+                log_every=args.log_every,
+                optimizer=args.optimizer,
+                kfac_damping=args.kfac_damping,
+                kfac_ema_decay=args.kfac_ema_decay,
+                kfac_inv_every=args.kfac_inv_every,
+                kfac_cov_every=args.kfac_cov_every,
+                kfac_max_dim=args.kfac_max_dim,
+            ),
+            seed=args.seed,
+            n_workers=resolve_worker_count(args.workers),
+            score_prefetch=args.score_prefetch,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.dtype:
         import repro.nn as nn
 
@@ -118,35 +148,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
         nn.set_spmm_backend(args.spmm)
     circuit, key = load_bench(args.netlist)
-    config = MuxLinkConfig(
-        h=args.h,
-        threshold=args.threshold,
-        train=TrainConfig(
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-            patience=args.patience,
-            lr_decay=args.lr_decay,
-            lr_decay_every=args.lr_decay_every,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            log_every=args.log_every,
-            optimizer=args.optimizer,
-            kfac_damping=args.kfac_damping,
-            kfac_ema_decay=args.kfac_ema_decay,
-            kfac_inv_every=args.kfac_inv_every,
-            kfac_cov_every=args.kfac_cov_every,
-            kfac_max_dim=args.kfac_max_dim,
-            grad_shards=args.grad_shards,
-            n_train_workers=resolve_worker_count(
-                args.train_workers, "train_workers"
-            ),
-        ),
-        seed=args.seed,
-        n_workers=resolve_worker_count(args.workers, "workers"),
-        score_prefetch=args.score_prefetch,
-    )
     if args.serve:
         # Served mode: ship the request to a `repro serve` process and
         # decode the returned artifact — the output lines below stay
@@ -193,13 +194,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     )
 
     scale = scale_by_name(args.scale) if args.scale else active_scale()
-    if args.train_workers is not None:
-        # Execution-only knob: sharded-gradient training results are
-        # bit-identical for any worker count, so this never invalidates
-        # cached artifacts.
-        from dataclasses import replace
-
-        scale = replace(scale, n_train_workers=args.train_workers)
     drivers = {
         7: (run_fig7, format_fig7),
         8: (run_fig8, format_fig8),
@@ -576,10 +570,6 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
     )
 
     scale = scale_by_name(args.scale) if args.scale else active_scale()
-    if args.train_workers is not None:
-        from dataclasses import replace
-
-        scale = replace(scale, n_train_workers=args.train_workers)
     print(f"scale={scale.name} jobs={args.jobs if args.jobs is not None else 'env'}")
     with ExperimentRunner(
         jobs=args.jobs,
@@ -748,20 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = no cap; capped layers keep their raw gradient)",
     )
     p.add_argument(
-        "--grad-shards",
-        type=int,
-        default=1,
-        help="gradient shards per optimizer step (semantic: fixes the "
-        "reduction order of the loss curve)",
-    )
-    p.add_argument(
-        "--train-workers",
-        default=1,
-        help="processes executing the gradient shards (pure execution "
-        "knob; results identical for any worker count; 'auto' = the "
-        "measured policy, currently serial)",
-    )
-    p.add_argument(
         "--dtype",
         choices=("float32", "float64"),
         default=None,
@@ -820,13 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--train-workers",
-        default=None,
-        help="processes executing gradient shards during training "
-        "(default: REPRO_TRAIN_WORKERS or the preset; 'auto' = the "
-        "measured policy; results identical for any worker count)",
-    )
     p.add_argument(
         "--store",
         default=None,
@@ -1164,12 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (default: REPRO_EXPERIMENT_SCALE or ci)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--train-workers",
-        default=None,
-        help="processes executing gradient shards during training "
-        "(default: REPRO_TRAIN_WORKERS or the preset)",
-    )
     p.add_argument(
         "--store",
         default=None,

@@ -69,6 +69,10 @@ class MuxLinkConfig:
     n_workers: int = 0
     score_prefetch: int = 2
 
+    def __post_init__(self) -> None:
+        if self.h < 1:
+            raise ValueError(f"h must be >= 1, got {self.h}")
+
 
 @dataclass
 class MuxLinkResult:
@@ -159,10 +163,9 @@ def run_muxlink(
     runtime["sampling"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    # The trainer owns batch caching, early stopping, LR scheduling and
-    # checkpoint/resume; all knobs arrive through ``config.train``
-    # (make_trainer picks the serial or gradient-sharded engine, and the
-    # K-FAC preconditioner when configured).
+    # The trainer owns batch caching, early stopping, LR scheduling,
+    # checkpoint/resume and the K-FAC preconditioner; all knobs arrive
+    # through ``config.train``.
     model, history = make_trainer(dataset, config.train).fit()
     runtime["training"] = time.perf_counter() - start
 

@@ -55,39 +55,30 @@ __all__ = [
     "resolve_worker_count",
 ]
 
-#: What ``auto`` resolves to for the per-attack execution knobs.
+#: What ``auto`` resolves to for the subgraph-extraction worker count.
 #:
 #: Measured policy, not a guess (24-core host; ``BENCH_training.json``
-#: sections ``bench_extract_score`` and ``bench_train_workers``):
-#: subgraph-extraction worker pools never reach break-even — 0.24x at
-#: smoke scale rising only to 0.93x on the full-size 30k-link ITC
-#: pipeline — and pooled gradient shards run ~4x slower per epoch than
-#: serial (342ms → 1490ms with 2 workers), because per-step payload
-#: shipping dominates at this model size.  ``auto`` therefore picks the
-#: in-process fast path for both knobs *regardless of core count*: the
-#: break-even floor sits beyond every measured configuration.  Cores pay
-#: off one level up, at the job grid — ``repro figures --jobs auto``
-#: fans whole attack cells out, and the spool/socket bus fans them
-#: across processes or hosts.
-AUTO_WORKER_COUNTS = {"workers": 0, "train_workers": 1}
+#: section ``bench_extract_score``): extraction worker pools never reach
+#: break-even — 0.24x at smoke scale rising only to 0.93x on the
+#: full-size 30k-link ITC pipeline.  ``auto`` therefore picks the
+#: in-process fast path *regardless of core count*: the break-even floor
+#: sits beyond every measured configuration.  Cores pay off one level
+#: up, at the job grid — ``repro figures --jobs auto`` fans whole attack
+#: cells out, and the spool/serve bus fans them across processes or
+#: hosts.
+AUTO_WORKERS = 0
 
 
-def resolve_worker_count(value: int | str, kind: str = "workers") -> int:
-    """Resolve an ``auto``-capable worker-count knob to a concrete int.
+def resolve_worker_count(value: int | str) -> int:
+    """Resolve the ``auto``-capable extraction worker count to an int.
 
-    *kind* is ``"workers"`` (subgraph extraction) or ``"train_workers"``
-    (gradient-shard executors).  Integers and numeric strings pass
-    through; ``"auto"`` applies the measured policy above.
+    Integers and numeric strings pass through; ``"auto"`` applies the
+    measured policy above.
     """
-    if kind not in AUTO_WORKER_COUNTS:
-        raise KeyError(
-            f"unknown worker knob {kind!r}; choose from "
-            f"{sorted(AUTO_WORKER_COUNTS)}"
-        )
     if isinstance(value, str):
         text = value.strip().lower()
         if text == "auto":
-            return AUTO_WORKER_COUNTS[kind]
+            return AUTO_WORKERS
         value = int(text)
     return int(value)
 
@@ -113,21 +104,13 @@ class ExperimentScale:
         n_workers: subgraph-extraction worker processes passed to
             :class:`MuxLinkConfig` (overridable via ``REPRO_WORKERS``;
             ``"auto"`` applies the measured policy in
-            :data:`AUTO_WORKER_COUNTS`).
+            :data:`AUTO_WORKERS`).
         score_prefetch: in-flight batch budget of the streamed
             extract→score pipeline passed to :class:`MuxLinkConfig`
             (overridable via ``REPRO_SCORE_PREFETCH``; ``0`` = serial).
         optimizer: training optimizer — ``"adam"`` or ``"kfac"``
             (K-FAC-preconditioned Adam); a *semantic* knob, part of the
             artifact identity.
-        grad_shards: gradient shards per optimizer step (semantic, like
-            ``optimizer`` — it fixes the reduction order of the loss
-            curve and is folded into the config token).
-        n_train_workers: processes executing those shards
-            (overridable via ``REPRO_TRAIN_WORKERS``; pure execution
-            knob, normalized out of the config token — results are
-            bit-identical for any worker count; ``"auto"`` applies the
-            measured policy in :data:`AUTO_WORKER_COUNTS`).
     """
 
     name: str
@@ -146,8 +129,6 @@ class ExperimentScale:
     n_workers: int | str = 0
     score_prefetch: int = 2
     optimizer: str = "adam"
-    grad_shards: int = 1
-    n_train_workers: int | str = 1
 
     def benchmarks(self) -> tuple[tuple[str, float, tuple[int, ...]], ...]:
         """``(name, scale, key_sizes)`` for every included benchmark."""
@@ -162,14 +143,10 @@ class ExperimentScale:
 
     def attack_config(self, seed: int = 0) -> MuxLinkConfig:
         workers = resolve_worker_count(
-            os.environ.get("REPRO_WORKERS", self.n_workers), "workers"
+            os.environ.get("REPRO_WORKERS", self.n_workers)
         )
         prefetch = int(
             os.environ.get("REPRO_SCORE_PREFETCH", self.score_prefetch)
-        )
-        train_workers = resolve_worker_count(
-            os.environ.get("REPRO_TRAIN_WORKERS", self.n_train_workers),
-            "train_workers",
         )
         return MuxLinkConfig(
             h=self.h,
@@ -180,8 +157,6 @@ class ExperimentScale:
                 patience=self.patience,
                 seed=seed,
                 optimizer=self.optimizer,
-                grad_shards=self.grad_shards,
-                n_train_workers=train_workers,
             ),
             seed=seed,
             n_workers=workers,

@@ -97,16 +97,6 @@ class TrainConfig:
             the first dense layer — costs an order of magnitude more to
             invert than all others combined; capped blocks keep their
             raw gradient.
-        grad_shards: per-step gradient shard count — another *semantic*
-            knob: each optimizer step averages this many fixed
-            contiguous shards of the shuffled batch (weighted by shard
-            size, reduced in shard order), so the trajectory depends on
-            it but on nothing about how the shards are executed.  ``1``
-            is exactly the single-batch formulation.
-        n_train_workers: *execution* knob — how many processes the
-            shards of a step are distributed over (capped at
-            ``grad_shards``).  Any value produces bit-identical results,
-            so the artifact store normalizes it out of the config token.
         checkpoint_path: where :class:`Trainer` persists its state.
         checkpoint_every: save a checkpoint every N epochs (``0`` = only
             the final one; ignored without ``checkpoint_path``).
@@ -128,8 +118,6 @@ class TrainConfig:
     kfac_inv_every: int = 10
     kfac_cov_every: int = 1
     kfac_max_dim: int = 0
-    grad_shards: int = 1
-    n_train_workers: int = 1
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
     resume: bool = False
@@ -140,19 +128,13 @@ class TrainConfig:
             raise ValueError(
                 f"optimizer must be 'adam' or 'kfac', got {self.optimizer!r}"
             )
-        if self.grad_shards < 1:
-            raise ValueError(f"grad_shards must be >= 1, got {self.grad_shards}")
-        if self.kfac_cov_every < 1:
-            raise ValueError(
-                f"kfac_cov_every must be >= 1, got {self.kfac_cov_every}"
-            )
+        for name in ("epochs", "batch_size", "kfac_inv_every", "kfac_cov_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.kfac_max_dim < 0:
             raise ValueError(
                 f"kfac_max_dim must be >= 0, got {self.kfac_max_dim}"
-            )
-        if self.n_train_workers < 1:
-            raise ValueError(
-                f"n_train_workers must be >= 1, got {self.n_train_workers}"
             )
 
 
@@ -465,12 +447,8 @@ class Trainer:
         epoch_loss = 0.0
         n_batches = 0
         order = self.rng.permutation(len(self.train_assembler))
-        for step_index, start in enumerate(
-            range(0, len(order), config.batch_size)
-        ):
-            epoch_loss += self._train_step(
-                order[start : start + config.batch_size], step_index
-            )
+        for start in range(0, len(order), config.batch_size):
+            epoch_loss += self._train_step(order[start : start + config.batch_size])
             n_batches += 1
         self.history.train_loss.append(epoch_loss / max(n_batches, 1))
 
@@ -505,14 +483,11 @@ class Trainer:
                 f"  ({seconds:.2f}s)"
             )
 
-    def _train_step(self, indices: np.ndarray, step_index: int) -> float:
+    def _train_step(self, indices: np.ndarray) -> float:
         """One optimizer step over the batch *indices*; returns the loss.
 
-        The serial formulation: assemble, forward, backward (under the
-        curvature tap when K-FAC is configured), precondition, step.
-        :class:`~repro.linkpred.parallel.DataParallelTrainer` overrides
-        this with the sharded formulation — everything around it
-        (shuffle, evaluation, checkpointing) is shared.
+        Assemble, forward, backward (under the curvature tap when K-FAC
+        is configured), precondition, step.
         """
         # One batch in flight at a time, so the assembler's recycled
         # scratch buffers are safe (reuse_buffers contract).
@@ -706,19 +681,7 @@ class Trainer:
 
 
 def make_trainer(dataset: LinkDataset, config: TrainConfig = TrainConfig()):
-    """Build the right training engine for *config*.
-
-    ``grad_shards == 1`` (the default) is the serial :class:`Trainer` —
-    the exact historical formulation, whatever ``n_train_workers`` says
-    (one shard cannot be distributed).  ``grad_shards > 1`` returns a
-    :class:`~repro.linkpred.parallel.DataParallelTrainer`, whose
-    trajectory is a function of the shard count alone: the worker count
-    only changes which process executes each shard.
-    """
-    if config.grad_shards > 1:
-        from repro.linkpred.parallel import DataParallelTrainer
-
-        return DataParallelTrainer(dataset, config)
+    """Build the :class:`Trainer` for *dataset* (the pipeline's one seam)."""
     return Trainer(dataset, config)
 
 
@@ -728,9 +691,9 @@ def train_link_predictor(
     """Train a DGCNN on *dataset*, restoring the best-validation weights.
 
     Thin compatibility wrapper over :func:`make_trainer` (which adds
-    early stopping, LR scheduling, checkpoint/resume, the K-FAC
-    preconditioner and gradient sharding — all reachable through the
-    :class:`TrainConfig` fields).
+    early stopping, LR scheduling, checkpoint/resume and the K-FAC
+    preconditioner — all reachable through the :class:`TrainConfig`
+    fields).
 
     Returns:
         ``(model, history)``; the model is in eval mode.

@@ -164,9 +164,7 @@ class CurvatureCollector:
     :meth:`record` call reduces the published ``(acts, grad_out)`` pair
     straight to ``Aᵢ += actsᵀacts`` / ``Gᵢ += grad_outᵀgrad_out`` (in
     float64, bias-augmented when the layer has one) — repeated records
-    for one layer (gradient-sharded steps, or several backward calls
-    between optimizer steps) sum, which is exactly the semantics a
-    data-parallel coordinator needs when it absorbs shard contributions.
+    for one layer (several backward calls between optimizer steps) sum.
 
     :meth:`harvest` hands the pending sums over (aligned with
     :attr:`pairs`) and resets them.
@@ -217,23 +215,13 @@ class CurvatureCollector:
         else:
             a = acts64.T @ acts64
         g = gout64.T @ gout64
-        self.add(i, a, g, rows)
-
-    def add(self, i: int, a: np.ndarray, g: np.ndarray, rows: int) -> None:
-        """Fold one raw contribution ``(Σaaᵀ, Σggᵀ, rows)`` into block *i*."""
-        if not self.active[i]:
-            return
         slot = self._pending[i]
         if slot is None:
-            self._pending[i] = [
-                np.asarray(a, dtype=np.float64),
-                np.asarray(g, dtype=np.float64),
-                int(rows),
-            ]
+            self._pending[i] = [a, g, rows]
         else:
             slot[0] += a
             slot[1] += g
-            slot[2] += int(rows)
+            slot[2] += rows
 
     def harvest(self) -> list[tuple[np.ndarray, np.ndarray, int] | None]:
         """Return and reset the pending contributions (``None`` = no data)."""
@@ -397,19 +385,6 @@ class KFAC:
         between.  ``cov_every=1`` collects every step.
         """
         return self.t % self.cov_every == 0
-
-    def absorb(
-        self, contributions: list[tuple[np.ndarray, np.ndarray, int] | None]
-    ) -> None:
-        """Fold externally harvested contributions (data-parallel shards)."""
-        if len(contributions) != self.collector.n_blocks:
-            raise ValueError(
-                f"{len(contributions)} contributions for "
-                f"{self.collector.n_blocks} blocks"
-            )
-        for i, contribution in enumerate(contributions):
-            if contribution is not None:
-                self.collector.add(i, *contribution)
 
     def step(self) -> None:
         """Update factors from pending statistics and precondition grads."""

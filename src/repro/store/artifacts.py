@@ -63,8 +63,8 @@ __all__ = [
 #: Bump when the payload layouts below change incompatibly.  Folded into
 #: every content key, so a format change invalidates (rather than
 #: misreads) existing entries.  Version 2: the config token grew the
-#: optimizer choice (plus its K-FAC knobs) and the gradient shard count,
-#: and attack histories carry the per-epoch validation AUC.
+#: optimizer choice (plus its K-FAC knobs), and attack histories carry
+#: the per-epoch validation AUC.
 ARTIFACT_VERSION = 2
 
 
@@ -95,14 +95,19 @@ def config_token(config) -> str:
 
     The post-processing ``threshold`` is normalized out (Fig. 9 rescales
     a cached result without retraining) and so are the pure execution
-    knobs — ``n_workers``, ``score_prefetch``, ``n_train_workers``,
-    checkpoint/log plumbing — which are guaranteed not to move a single
-    bit of the result.  The numeric runtime dtype *is* folded in
-    (float32 and float64 runs are different artifacts), and so are the
-    optimizer choice and the gradient shard count: both change the
-    training trajectory.  The K-FAC hyper-parameters appear only when
-    the optimizer is ``"kfac"`` — under Adam they are inert, and keying
-    on inert knobs would split identical results across addresses.
+    knobs — ``n_workers``, ``score_prefetch``, checkpoint/log plumbing —
+    which are guaranteed not to move a single bit of the result.  The
+    numeric runtime dtype *is* folded in (float32 and float64 runs are
+    different artifacts), and so is the optimizer choice, which changes
+    the training trajectory.  The K-FAC hyper-parameters appear only
+    when the optimizer is ``"kfac"`` — under Adam they are inert, and
+    keying on inert knobs would split identical results across
+    addresses.
+
+    The token once carried the gradient shard count (always ``1`` in
+    practice); dropping it with gradient sharding re-keyed every attack
+    artifact once.  Entries written before that are misses, never wrong
+    hits, and a store refills on its first run.
     """
     from repro.nn import default_dtype
 
@@ -117,7 +122,6 @@ def config_token(config) -> str:
         "lr_decay": train.lr_decay,
         "lr_decay_every": train.lr_decay_every,
         "optimizer": train.optimizer,
-        "grad_shards": train.grad_shards,
     }
     if train.optimizer == "kfac":
         train_token["kfac"] = {

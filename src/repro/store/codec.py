@@ -108,10 +108,10 @@ def dumps(payload: Any, kind: str) -> bytes:
     """Serialize *payload* to an in-memory npz archive.
 
     The byte-for-byte same format as :func:`dump` writes to disk — the
-    message flavour of the codec, used for process-boundary exchanges
-    (the data-parallel trainer ships model state, shard gradients and
-    curvature statistics this way) with the same bit-exact array and
-    arbitrary-precision-int round-trip guarantees.
+    message flavour of the codec, with the same bit-exact array and
+    arbitrary-precision-int round-trip guarantees.  Its one message user
+    is the bus wire framing (:mod:`repro.bus.wire`); the remote store
+    also ships artifact blobs in this format.
     """
     arrays: list[np.ndarray] = []
     manifest = _manifest(payload, kind, arrays)

@@ -182,6 +182,9 @@ def test_poisoned_job_quarantines_with_persisted_traceback(tmp_path):
             stale_after=30.0,
             max_attempts=2,
             idle_timeout=30.0,
+            # Both failed attempts count toward the bound, so the worker
+            # exits right after the second one instead of idling out.
+            max_jobs=2,
             log=lambda *a: None,
         ),
         daemon=True,
@@ -190,7 +193,8 @@ def test_poisoned_job_quarantines_with_persisted_traceback(tmp_path):
     bus = SpoolBus(spool, store, poll=0.05, timeout=60)
     with pytest.raises(BusError) as excinfo:
         list(bus.run([poisoned]))
-    worker.join(timeout=60)
+    worker.join(timeout=20)  # below idle_timeout: only max_jobs ends it
+    assert not worker.is_alive()
     message = str(excinfo.value)
     assert "quarantined after 2 attempt(s)" in message
     assert "Traceback" in message  # the worker's persisted traceback

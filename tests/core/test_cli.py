@@ -58,6 +58,22 @@ def test_attack_command_smoke(tmp_path, capsys):
     assert "AC=" in out  # stored key enables scoring
 
 
+@pytest.mark.parametrize(
+    "argv, knob",
+    [
+        (["--epochs", "-2"], "epochs"),
+        (["--h", "0"], "h"),
+        (["--optimizer", "kfac", "--kfac-inv-every", "0"], "kfac_inv_every"),
+    ],
+)
+def test_attack_rejects_out_of_range_knobs(tmp_path, capsys, argv, knob):
+    # The netlist does not exist: the config is rejected before it is read.
+    assert main(["attack", str(tmp_path / "missing.bench"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {knob} must be >= 1")
+
+
 def test_unlock_without_key_fails(tmp_path, capsys):
     base = tmp_path / "b.bench"
     main(["generate", "c17", "-o", str(base)])

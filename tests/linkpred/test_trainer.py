@@ -47,6 +47,22 @@ def toy_dataset(n_train=36, n_val=12, seed=0, flip_val_labels=False):
 CFG = TrainConfig(epochs=6, learning_rate=3e-3, batch_size=10, seed=3)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"optimizer": "sgd"},
+        {"epochs": 0},
+        {"batch_size": 0},
+        {"kfac_inv_every": 0},
+        {"kfac_cov_every": 0},
+        {"kfac_max_dim": -1},
+    ],
+)
+def test_config_validation(overrides):
+    with pytest.raises(ValueError):
+        TrainConfig(**overrides)
+
+
 def test_trainer_rejects_empty_split():
     from repro.errors import TrainingError
 

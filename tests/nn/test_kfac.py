@@ -263,12 +263,6 @@ def test_kfac_validates_hyperparameters():
         KFAC(model, inv_every=0)
 
 
-def test_absorb_validates_block_count():
-    preconditioner = KFAC(TwoLayer())
-    with pytest.raises(ValueError, match="contributions"):
-        preconditioner.absorb([None])
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
